@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "mem/sched_atlas.hh"
-#include "mem/sched_bliss.hh"
 #include "mem/sched_fcfs.hh"
 #include "mem/sched_frfcfs.hh"
 #include "mem/sched_parbs.hh"
@@ -14,7 +13,7 @@ const std::vector<std::string> &
 schedulerNames()
 {
     static const std::vector<std::string> names = {
-        "fcfs", "fr-fcfs", "par-bs", "atlas", "tcm", "bliss",
+        "fcfs", "fr-fcfs", "par-bs", "atlas", "tcm",
     };
     return names;
 }
@@ -38,12 +37,6 @@ makeScheduler(const std::string &name, const SchedulerInit &init)
         return std::make_unique<AtlasScheduler>(init.numThreads,
                                                 init.burstCycles, p);
     }
-    if (name == "bliss") {
-        BlissParams p;
-        p.blacklistCap = init.blissCap;
-        p.clearInterval = init.blissClearInterval;
-        return std::make_unique<BlissScheduler>(init.numThreads, p);
-    }
     if (name == "tcm") {
         TcmParams p;
         p.clusterThresh = init.tcmClusterThresh;
@@ -51,7 +44,7 @@ makeScheduler(const std::string &name, const SchedulerInit &init)
         return std::make_unique<TcmScheduler>(init.numThreads, p);
     }
     fatal("unknown scheduler '", name, "' (expected fcfs|fr-fcfs|par-bs|",
-          "atlas|tcm|bliss)");
+          "atlas|tcm)");
 }
 
 } // namespace dbpsim

@@ -30,17 +30,14 @@ struct SchedulerInit
     // dbplint:allow(cycle-literal) reason=ATLAS paper quantum in bus cycles, overridden by config key atlas_quantum
     Cycle atlasQuantum = 2'500'000;
     unsigned parbsMarkingCap = 5;
-    unsigned blissCap = 4;
-    // dbplint:allow(cycle-literal) reason=BLISS paper clearing interval, overridden by config key bliss_clear
-    Cycle blissClearInterval = 10'000;
 };
 
 /** Names accepted by makeScheduler, in a stable order. */
 const std::vector<std::string> &schedulerNames();
 
 /**
- * Build a scheduler: "fcfs", "fr-fcfs", "par-bs", "atlas", "tcm" or
- * "bliss". fatal()s on unknown names.
+ * Build a scheduler: "fcfs", "fr-fcfs", "par-bs", "atlas" or "tcm".
+ * fatal()s on unknown names.
  */
 std::unique_ptr<Scheduler> makeScheduler(const std::string &name,
                                          const SchedulerInit &init);

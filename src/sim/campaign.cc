@@ -203,7 +203,6 @@ runConfigSignature(const RunConfig &rc)
        << ";schedInit=" << p.sched.burstCycles << '/'
        << p.sched.tcmShuffleInterval << '/' << p.sched.tcmClusterThresh
        << '/' << p.sched.atlasQuantum << '/' << p.sched.parbsMarkingCap
-       << '/' << p.sched.blissCap << '/' << p.sched.blissClearInterval
        << ";dbp=" << p.dbp.lightMpki << '/' << p.dbp.lightBanksPerThread
        << '/' << p.dbp.streamRbhr << '/' << p.dbp.streamBanks << '/'
        << p.dbp.maxDonorRows << '/' << p.dbp.flatDemand << '/'

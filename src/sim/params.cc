@@ -109,10 +109,6 @@ SystemParams::applyConfig(const Config &config)
                                         sched.atlasQuantum);
     sched.parbsMarkingCap = static_cast<unsigned>(
         config.getUInt("parbs_cap", sched.parbsMarkingCap));
-    sched.blissCap = static_cast<unsigned>(
-        config.getUInt("bliss_cap", sched.blissCap));
-    sched.blissClearInterval = config.getUInt(
-        "bliss_clear", sched.blissClearInterval);
 
     dbp.lightMpki = config.getDouble("dbp_light_mpki", dbp.lightMpki);
     dbp.lightBanksPerThread = config.getDouble(

@@ -18,8 +18,6 @@ standardSchemes()
         {"ATLAS", "atlas", "none"},
         {"FCFS", "fcfs", "none"},
         {"UBP-TCM", "tcm", "ubp"},
-        {"BLISS", "bliss", "none"},
-        {"DBP-BLISS", "bliss", "dbp"},
         {"DBP-MCP", "fr-fcfs", "dbp-mcp"},
         {"DBP-MCP-TCM", "tcm", "dbp-mcp"},
     };

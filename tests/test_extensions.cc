@@ -1,17 +1,13 @@
 /**
  * @file
- * Tests for the extension mechanisms beyond the paper's evaluated set:
- * the BLISS blacklisting scheduler and the combined DBP-MCP
- * channel+bank partitioning policy.
+ * Tests for the extension mechanism beyond the paper's evaluated set:
+ * the combined DBP-MCP channel+bank partitioning policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "dram/channel.hh"
-#include "mem/sched_bliss.hh"
-#include "mem/sched_factory.hh"
 #include "part/part_combined.hh"
 #include "part/part_factory.hh"
 #include "sim/schemes.hh"
@@ -20,126 +16,6 @@
 
 namespace dbpsim {
 namespace {
-
-DramGeometry
-geo1()
-{
-    DramGeometry g;
-    g.channels = 1;
-    g.ranksPerChannel = 1;
-    g.banksPerRank = 8;
-    g.rowsPerBank = 256;
-    g.rowBytes = 8192;
-    g.lineBytes = 64;
-    g.pageBytes = 4096;
-    return g;
-}
-
-MemRequest
-req(ThreadId tid, unsigned bank, std::uint64_t row, Cycle enq,
-    std::uint64_t id)
-{
-    MemRequest r;
-    r.tid = tid;
-    r.coord.bank = bank;
-    r.coord.row = row;
-    r.enqueueCycle = enq;
-    r.id = id;
-    return r;
-}
-
-TEST(Bliss, StreakTriggersBlacklist)
-{
-    BlissScheduler s(2, BlissParams{3, 1000});
-    EXPECT_FALSE(s.blacklisted(0));
-    s.onDequeue(req(0, 0, 1, 0, 0));
-    s.onDequeue(req(0, 0, 1, 0, 1));
-    EXPECT_FALSE(s.blacklisted(0));
-    s.onDequeue(req(0, 0, 1, 0, 2)); // third consecutive.
-    EXPECT_TRUE(s.blacklisted(0));
-    EXPECT_FALSE(s.blacklisted(1));
-    EXPECT_EQ(s.blacklistEvents(), 1u);
-}
-
-TEST(Bliss, InterleavedServiceResetsStreak)
-{
-    BlissScheduler s(2, BlissParams{3, 1000});
-    s.onDequeue(req(0, 0, 1, 0, 0));
-    s.onDequeue(req(0, 0, 1, 0, 1));
-    s.onDequeue(req(1, 0, 1, 0, 2)); // breaks thread 0's streak.
-    s.onDequeue(req(0, 0, 1, 0, 3));
-    s.onDequeue(req(0, 0, 1, 0, 4));
-    EXPECT_FALSE(s.blacklisted(0));
-    EXPECT_FALSE(s.blacklisted(1));
-}
-
-TEST(Bliss, BlacklistClearsPeriodically)
-{
-    BlissScheduler s(2, BlissParams{2, 100});
-    s.onDequeue(req(0, 0, 1, 0, 0));
-    s.onDequeue(req(0, 0, 1, 0, 1));
-    ASSERT_TRUE(s.blacklisted(0));
-    s.tick(99);
-    EXPECT_TRUE(s.blacklisted(0));
-    s.tick(100);
-    EXPECT_FALSE(s.blacklisted(0));
-}
-
-TEST(Bliss, NonBlacklistedBeatsBlacklistedRowHit)
-{
-    DramChannel ch(geo1(), ddr3_1600(), 0);
-    ch.issue(DramCmd::Activate, 0, 0, 5, 0);
-    SchedContext ctx{ch, 100};
-
-    BlissScheduler s(2, BlissParams{2, 100000});
-    s.onDequeue(req(0, 0, 5, 0, 0));
-    s.onDequeue(req(0, 0, 5, 0, 1));
-    ASSERT_TRUE(s.blacklisted(0));
-
-    MemRequest hog_hit = req(0, 0, 5, 10, 2);   // row hit, blacklisted.
-    MemRequest other_miss = req(1, 1, 9, 50, 3); // miss, clean.
-    EXPECT_TRUE(s.higherPriority(other_miss, hog_hit, ctx));
-}
-
-TEST(Bliss, FactoryBuildsIt)
-{
-    SchedulerInit init;
-    init.numThreads = 4;
-    auto s = makeScheduler("bliss", init);
-    EXPECT_EQ(s->name(), "bliss");
-}
-
-TEST(Bliss, EndToEndShieldsLightThread)
-{
-    auto make = [](double mpki, unsigned streams, double rand,
-                   std::uint64_t pages, std::uint64_t seed) {
-        SyntheticParams sp;
-        sp.seed = seed;
-        sp.phases[0].mpki = mpki;
-        sp.phases[0].streams = streams;
-        sp.phases[0].randomFrac = rand;
-        sp.phases[0].footprintPages = pages;
-        return std::make_unique<SyntheticSource>(sp);
-    };
-    auto run_with = [&](const std::string &sched) {
-        auto light = make(0.5, 1, 0.2, 256, 1);
-        auto h1 = make(25, 4, 0.3, 8192, 2);
-        auto h2 = make(25, 4, 0.3, 8192, 3);
-        auto h3 = make(25, 4, 0.3, 8192, 4);
-        std::vector<TraceSource *> raw{light.get(), h1.get(), h2.get(),
-                                       h3.get()};
-        SystemParams params;
-        params.numCores = 4;
-        params.geometry = geo1();
-        params.geometry.rowsPerBank = 16384;
-        params.profileIntervalCpu = 200'000;
-        params.scheduler = sched;
-        System sys(params, raw);
-        sys.run(700'000);
-        return sys.threadAvgReadLatency(0);
-    };
-    EXPECT_LT(run_with("bliss"), run_with("fcfs") * 0.85);
-}
 
 ThreadMemProfile
 profile(double mpki, double rbhr, double rowpar,
@@ -271,8 +147,6 @@ TEST(Combined, SchemesResolve)
 {
     EXPECT_EQ(schemeByName("DBP-MCP").partition, "dbp-mcp");
     EXPECT_EQ(schemeByName("DBP-MCP-TCM").scheduler, "tcm");
-    EXPECT_EQ(schemeByName("BLISS").scheduler, "bliss");
-    EXPECT_EQ(schemeByName("DBP-BLISS").partition, "dbp");
 }
 
 } // namespace

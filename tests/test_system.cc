@@ -109,8 +109,7 @@ TEST_P(SchedulerPartitionMatrix, RunsAndProgresses)
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, SchedulerPartitionMatrix,
     ::testing::Combine(
-        ::testing::Values("fcfs", "fr-fcfs", "par-bs", "atlas", "tcm",
-                          "bliss"),
+        ::testing::Values("fcfs", "fr-fcfs", "par-bs", "atlas", "tcm"),
         ::testing::Values("none", "ubp", "dbp", "mcp", "dbp-mcp")));
 
 TEST(System, DegenerateSingleBankMachineRuns)
