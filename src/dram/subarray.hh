@@ -19,11 +19,12 @@
  *    global bitlines (the "designated" subarray, tSA cycles), and
  *    column commands are legal only to the designated subarray.
  *
- * The channel keeps this state alongside the legacy per-bank view and
- * mirrors the aggregate into BankState so mode-oblivious consumers
- * (refresh engine, schedulers, stats) keep working. With salp=none the
- * subarray state is never allocated and the seed code path runs
- * unchanged.
+ * A bank (bank.hh) is an array of these subarrays under every mode:
+ * salp=none is the one-subarray bank, and each SALP rule reduces to
+ * the plain DDR3 bank rule when there is only one subarray. The
+ * channel applies one rule set to all modes; only the mode-specific
+ * relaxations above (ACT beside another open subarray under MASA,
+ * deferred write recovery under SALP-2/MASA, SA_SEL) test the mode.
  */
 
 #ifndef DBPSIM_DRAM_SUBARRAY_HH
@@ -31,7 +32,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -40,7 +40,7 @@ namespace dbpsim {
 /** Subarray-level parallelism mode of a channel. */
 enum class SalpMode
 {
-    None,  ///< seed behaviour: one monolithic row buffer per bank.
+    None,  ///< one subarray per bank: the monolithic row buffer.
     Salp1, ///< overlap PRE of one subarray with ACT of another.
     Salp2, ///< additionally overlap ACT with prior write recovery.
     Masa,  ///< multiple open subarrays + SA_SEL designated relinking.
@@ -68,8 +68,8 @@ struct SubarrayState
     /** Earliest cycle an ACTIVATE may issue (tRC, deferred tRP...). */
     Cycle nextActivate = 0;
 
-    /** Earliest cycle a PRECHARGE may issue (tRAS, tRTP, and under
-     *  SALP-1 the write recovery). */
+    /** Earliest cycle a PRECHARGE may issue (tRAS, tRTP, and the
+     *  write recovery unless SALP-2/MASA defer it). */
     Cycle nextPrecharge = 0;
 
     /** Earliest cycle a READ may issue (tRCD after own ACT). */
@@ -81,21 +81,6 @@ struct SubarrayState
     /** End of the last write recovery (SALP-2/MASA): a PRECHARGE may
      *  issue before this, but completes internally only after it. */
     Cycle wrRecoveryAt = 0;
-};
-
-/**
- * Per-bank subarray aggregate: the subarrays plus the MASA designated
- * latch (which subarray's row buffer drives the global bitlines).
- */
-struct SubarrayBankState
-{
-    std::vector<SubarrayState> subs;
-
-    /** Subarray currently linked to the global bitlines (MASA). */
-    unsigned designated = 0;
-
-    /** Cycle the designated link becomes usable (SA_SEL takes tSA). */
-    Cycle designateReadyAt = 0;
 };
 
 } // namespace dbpsim

@@ -251,7 +251,7 @@ TEST_F(ControllerFixture, ClosedPagePolicyAutoPrecharges)
         closed.tick(c++);
     ASSERT_EQ(cat.completed.size(), 1u);
     // The bank is closed after the auto-precharge read.
-    EXPECT_FALSE(closed.channel().bank(0, 0).open);
+    EXPECT_FALSE(closed.channel().bank(0, 0).open());
 }
 
 TEST_F(ControllerFixture, OpenAdaptiveClosesIdleRows)
@@ -267,13 +267,13 @@ TEST_F(ControllerFixture, OpenAdaptiveClosesIdleRows)
     Cycle c = 0;
     while (cat.completed.empty() && c < 1000)
         mc.tick(c++);
-    ASSERT_TRUE(mc.channel().bank(0, 0).open);
+    ASSERT_TRUE(mc.channel().bank(0, 0).open());
 
     // Idle past the timeout: the controller closes the row.
     Cycle deadline = c + params.rowIdleTimeout + timing_.tRAS + 10;
-    while (mc.channel().bank(0, 0).open && c < deadline)
+    while (mc.channel().bank(0, 0).open() && c < deadline)
         mc.tick(c++);
-    EXPECT_FALSE(mc.channel().bank(0, 0).open);
+    EXPECT_FALSE(mc.channel().bank(0, 0).open());
     EXPECT_GE(mc.statIdleRowCloses.value(), 1u);
 }
 
@@ -292,7 +292,7 @@ TEST_F(ControllerFixture, OpenAdaptiveKeepsWantedRows)
     Cycle c = 0;
     while (cat.completed.empty() && c < 1000)
         mc.tick(c++);
-    ASSERT_TRUE(mc.channel().bank(0, 0).open);
+    ASSERT_TRUE(mc.channel().bank(0, 0).open());
 
     // Enqueue a same-row read but freeze the bank so it cannot issue.
     mc.applyMigrationCost(0, 0, c, 500);
@@ -301,7 +301,7 @@ TEST_F(ControllerFixture, OpenAdaptiveKeepsWantedRows)
     while (c < end)
         mc.tick(c++);
     // Row still open: its pending requester protected it.
-    EXPECT_TRUE(mc.channel().bank(0, 0).open);
+    EXPECT_TRUE(mc.channel().bank(0, 0).open());
 }
 
 TEST_F(ControllerFixture, ProfilerSeesRequestsAndOutstanding)

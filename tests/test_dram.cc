@@ -236,7 +236,7 @@ TEST(Channel, ReadWithAutoPrechargeClosesRow)
     ch.issue(DramCmd::Activate, 0, 0, 5, 0);
     Cycle rd_at = std::max(t.tRCD, t.tRAS);
     ch.issue(DramCmd::ReadAp, 0, 0, 5, rd_at);
-    EXPECT_FALSE(ch.bank(0, 0).open);
+    EXPECT_FALSE(ch.bank(0, 0).open());
     // Next ACT waits for tRTP + tRP after the RDA.
     EXPECT_FALSE(ch.canIssue(DramCmd::Activate, 0, 0, 6,
                              rd_at + t.tRTP + t.tRP - 1));
@@ -475,8 +475,8 @@ TEST(Salp, MasaHoldsMultipleOpenRowsWithDesignatedLatch)
     // MASA: a second subarray activates while the first stays open.
     ASSERT_TRUE(ch.canIssue(DramCmd::Activate, 0, 0, 1, act2));
     ch.issue(DramCmd::Activate, 0, 0, 1, act2); // designates sub 1.
-    EXPECT_TRUE(ch.subarrays(0, 0).subs[0].open);
-    EXPECT_TRUE(ch.subarrays(0, 0).subs[1].open);
+    EXPECT_TRUE(ch.bank(0, 0).subs[0].open);
+    EXPECT_TRUE(ch.bank(0, 0).subs[1].open);
 
     // Column commands are legal only to the designated subarray.
     Cycle rd = act2 + t.tRCD;
@@ -493,16 +493,17 @@ TEST(Salp, MasaHoldsMultipleOpenRowsWithDesignatedLatch)
     EXPECT_FALSE(ch.canIssue(DramCmd::Read, 0, 0, 1, rd + t.tSA));
 }
 
-TEST(Salp, MirrorAggregatesSubarraysForModeObliviousConsumers)
+TEST(Salp, BankViewsAggregateSubarraysForModeObliviousConsumers)
 {
     DramTiming t = ddr3_1600();
     DramChannel ch(geo(), t, 0, SalpMode::Masa);
 
     ch.issue(DramCmd::Activate, 0, 0, 0, 0);
     ch.issue(DramCmd::Activate, 0, 0, 1, t.tRRD);
-    // The legacy view shows the designated subarray's row and stays
-    // open while any subarray is open.
-    EXPECT_TRUE(ch.bank(0, 0).open);
+    // The bank-level view shows the designated subarray's row and
+    // stays open while any subarray is open.
+    EXPECT_TRUE(ch.bank(0, 0).open());
+    EXPECT_EQ(ch.bank(0, 0).row(), 1u);
     EXPECT_TRUE(ch.rowOpen(0, 0, 1));
 
     // Refresh is illegal while any subarray holds an open row.
@@ -511,7 +512,7 @@ TEST(Salp, MirrorAggregatesSubarraysForModeObliviousConsumers)
     ch.issue(DramCmd::Precharge, 0, 0, 0, t.tRAS);
     EXPECT_FALSE(ch.canIssue(DramCmd::Refresh, 0, 0, 0, late));
     ch.issue(DramCmd::Precharge, 0, 0, 1, t.tRRD + t.tRAS);
-    EXPECT_FALSE(ch.bank(0, 0).open);
+    EXPECT_FALSE(ch.bank(0, 0).open());
     EXPECT_TRUE(ch.canIssue(DramCmd::Refresh, 0, 0, 0, late));
 }
 

@@ -147,9 +147,9 @@ TEST(ChannelFuzz, LegalCommandsNeverOverlapDataBus)
             // Column commands must target the open row to be legal.
             if (cmd == DramCmd::Read || cmd == DramCmd::Write) {
                 const BankState &bs = ch.bank(r, b);
-                if (!bs.open)
+                if (!bs.open())
                     continue;
-                row = bs.row;
+                row = bs.row();
             }
             if (!ch.canIssue(cmd, r, b, row, now))
                 continue;
@@ -196,7 +196,7 @@ TEST(ChannelFuzz, ActivateSpacingHonorsTrc)
         auto b = static_cast<unsigned>(rng.nextBelow(g.banksPerRank));
         std::size_t slot = r * g.banksPerRank + b;
         const BankState &bs = ch.bank(r, b);
-        if (bs.open) {
+        if (bs.open()) {
             if (ch.canIssue(DramCmd::Precharge, r, b, 0, now))
                 ch.issue(DramCmd::Precharge, r, b, 0, now);
         } else if (ch.canIssue(DramCmd::Activate, r, b, 3, now)) {

@@ -460,7 +460,7 @@ TEST_F(ManagerFixture, EagerMigrationChargesBanks)
     for (auto &mc : mcs_)
         for (unsigned r = 0; r < kRanks; ++r)
             for (unsigned b = 0; b < kBanks; ++b)
-                if (mc->channel().bank(r, b).nextActivate > 100)
+                if (mc->channel().bank(r, b).nextActivate() > 100)
                     any_blocked = true;
     EXPECT_TRUE(any_blocked);
 }
@@ -481,7 +481,7 @@ TEST_F(ManagerFixture, FreeMigrationChargesNothing)
     for (auto &mc : mcs_)
         for (unsigned r = 0; r < kRanks; ++r)
             for (unsigned b = 0; b < kBanks; ++b)
-                EXPECT_LE(mc->channel().bank(r, b).nextActivate, 100u);
+                EXPECT_LE(mc->channel().bank(r, b).nextActivate(), 100u);
 }
 
 TEST(MigrationMode, Names)
@@ -523,7 +523,7 @@ TEST_F(ManagerFixture, LazyMigrationMovesOnTouch)
     for (auto &mc : mcs_)
         for (unsigned r = 0; r < kRanks; ++r)
             for (unsigned b = 0; b < kBanks; ++b)
-                if (mc->channel().bank(r, b).nextActivate > 2100)
+                if (mc->channel().bank(r, b).nextActivate() > 2100)
                     any_blocked = true;
     EXPECT_TRUE(any_blocked);
 }

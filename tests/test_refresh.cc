@@ -181,7 +181,7 @@ TEST(Refresh, PerBankBlocksOnlyTheRefreshingBank)
     EXPECT_TRUE(eng.blocks(0, 0));
     EXPECT_FALSE(eng.blocks(0, 1));
     EXPECT_FALSE(eng.blocks(1, 0));
-    EXPECT_FALSE(ch.bank(0, 0).open) << "forced bank was not drained";
+    EXPECT_FALSE(ch.bank(0, 0).open()) << "forced bank was not drained";
 
     // Run on until the REFpb lands, then check its blocking scope.
     for (; ch.statRefreshesPb.value() == 0; ++now)
