@@ -1,10 +1,9 @@
 /**
  * @file
- * Shared plumbing for the figure/table campaigns: default run
- * configuration (scaled-down but shape-preserving relative to the
- * paper's billion-instruction runs), the standard mix subsets, and
- * small metric helpers. Every campaign accepts key=value overrides
- * through the dbpsim_bench driver (see README).
+ * Shared plumbing for the figure/table campaigns: the standard mix
+ * subsets and small metric helpers. Every campaign accepts key=value
+ * overrides through the dbpsim_bench driver (see README), which builds
+ * its RunConfig with makeRunConfig().
  */
 
 #ifndef DBPSIM_BENCH_BENCH_COMMON_HH
@@ -21,41 +20,8 @@
 namespace dbpsim {
 namespace bench {
 
-/**
- * Build the default evaluation RunConfig from parsed overrides.
- *
- * Defaults: the paper's 8-core 2x2x8 DDR3 machine; 2.5 M CPU cycles of
- * warm-up (long enough for dynamic partitions to converge and the
- * page-migration engine to finish), 4 M measured; 500 k-cycle
- * profiling interval (the paper's 10 M-cycle interval scaled to our
- * shorter runs so DBP repartitions several times per run).
- */
-inline RunConfig
-makeRunConfig(const Config &cfg)
-{
-    RunConfig rc;
-    rc.base.profileIntervalCpu = 500'000;
-    // ATLAS's long quantum scales with the run length like the
-    // profiling interval does (the paper's 10 M-cycle quantum suits
-    // its billion-instruction runs).
-    rc.base.sched.atlasQuantum = 150'000;
-    rc.base.applyConfig(cfg);
-    rc.warmupCpu = cfg.getUInt("warmup", 2'500'000);
-    rc.measureCpu = cfg.getUInt("measure", 4'000'000);
-    rc.seedBase = cfg.getUInt("seed", 42);
-    return rc;
-}
-
-/** Command-line convenience wrapper (examples). */
-inline RunConfig
-makeRunConfig(int argc, char **argv, Config *out_cfg = nullptr)
-{
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    if (out_cfg)
-        *out_cfg = cfg;
-    return makeRunConfig(cfg);
-}
+/** The evaluation RunConfig from parsed overrides (sim/params.hh). */
+using dbpsim::makeRunConfig;
 
 /** The mixes the full figures sweep. */
 inline std::vector<WorkloadMix>

@@ -140,13 +140,9 @@ int
 main(int argc, char **argv)
 {
     Config config;
+    config.set("part", "dbp"); // watch DBP unless part= says otherwise.
     config.parseArgs(argc, argv);
-
-    RunConfig rc;
-    rc.base.profileIntervalCpu = 500'000;
-    rc.base.partition = "dbp";
-    rc.base.applyConfig(config);
-    rc.seedBase = config.getUInt("seed", 42);
+    RunConfig rc = makeRunConfig(config, {"mix", "intervals", "out"});
 
     const WorkloadMix &mix = mixByName(config.getString("mix", "W04"));
     rc.base.numCores = static_cast<unsigned>(mix.apps.size());

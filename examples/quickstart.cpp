@@ -20,25 +20,14 @@ int
 main(int argc, char **argv)
 {
     Config config;
+    config.set("cores", "4"); // a 4-core demo unless cores= says otherwise.
     config.parseArgs(argc, argv);
-
-    RunConfig rc;
-    // Short demo runs: profile/repartition every 500k CPU cycles so
-    // DBP adapts within the run (the paper's 10M-cycle interval suits
-    // its billion-instruction runs); ATLAS's quantum scales likewise.
-    rc.base.profileIntervalCpu = 500'000;
-    rc.base.sched.atlasQuantum = 150'000;
-    rc.base.applyConfig(config);
-    rc.warmupCpu = config.getUInt("warmup", 1'500'000);
-    rc.measureCpu = config.getUInt("measure", 3'000'000);
-
-    unsigned cores = static_cast<unsigned>(config.getUInt("cores", 4));
-    rc.base.numCores = cores;
+    const RunConfig rc = makeRunConfig(config);
 
     // A small mix: two memory hogs and two light applications.
     WorkloadMix mix = scaleMix(
         WorkloadMix{"quickstart", {"mcf", "libquantum", "gcc", "hmmer"}},
-        cores);
+        rc.base.numCores);
 
     std::cout << "dbpsim quickstart\n"
               << "  machine : " << rc.base.summary() << "\n"
@@ -47,11 +36,12 @@ main(int argc, char **argv)
         std::cout << a << ' ';
     std::cout << "\n\n";
 
-    ExperimentRunner runner(rc);
+    AloneBaselineCache baselines;
     TextTable table({"scheme", "weighted speedup", "max slowdown",
                      "harmonic speedup"});
     for (const auto &scheme_name : {"FR-FCFS", "UBP", "DBP"}) {
-        MixResult r = runner.runMix(mix, schemeByName(scheme_name));
+        MixResult r =
+            runMixJob(rc, mix, schemeByName(scheme_name), baselines);
         table.beginRow();
         table.cell(r.schemeName);
         table.cell(r.metrics.weightedSpeedup);

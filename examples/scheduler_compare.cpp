@@ -28,14 +28,8 @@ main(int argc, char **argv)
 {
     Config config;
     config.parseArgs(argc, argv);
-
-    RunConfig rc;
-    rc.base.profileIntervalCpu = 500'000;
-    rc.base.sched.atlasQuantum = 150'000; // scale ATLAS to short runs.
-    rc.base.applyConfig(config);
-    rc.warmupCpu = config.getUInt("warmup", 2'000'000);
-    rc.measureCpu = config.getUInt("measure", 3'000'000);
-    rc.seedBase = config.getUInt("seed", 42);
+    RunConfig rc =
+        makeRunConfig(config, {"mix", "cross", "jobs", "progress"});
 
     const WorkloadMix &mix = mixByName(config.getString("mix", "W04"));
     rc.base.numCores = static_cast<unsigned>(mix.apps.size());

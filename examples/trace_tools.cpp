@@ -97,15 +97,12 @@ cmdReplay(const Config &config)
         sources.push_back(others.back().get());
     }
 
-    SystemParams params;
-    params.profileIntervalCpu = 500'000;
-    params.applyConfig(config);
+    RunConfig rc = makeRunConfig(config, {"in", "corunners"});
+    SystemParams &params = rc.base;
     params.numCores = static_cast<unsigned>(sources.size());
 
     System system(params, sources);
-    auto ipc = system.runAndMeasure(config.getUInt("warmup", 1'000'000),
-                                    config.getUInt("measure",
-                                                   2'000'000));
+    auto ipc = system.runAndMeasure(rc.warmupCpu, rc.measureCpu);
 
     TextTable table({"core", "source", "IPC", "row hit rate"});
     for (unsigned t = 0; t < params.numCores; ++t) {

@@ -43,13 +43,7 @@ main(int argc, char **argv)
 {
     Config config;
     config.parseArgs(argc, argv);
-
-    RunConfig rc;
-    rc.base.profileIntervalCpu = 500'000;
-    rc.base.sched.atlasQuantum = 150'000; // scale ATLAS to short runs.
-    rc.base.applyConfig(config);
-    rc.warmupCpu = config.getUInt("warmup", 2'000'000);
-    rc.measureCpu = config.getUInt("measure", 3'000'000);
+    RunConfig rc = makeRunConfig(config, {"mix", "apps", "schemes"});
 
     WorkloadMix mix;
     if (config.has("mix")) {
@@ -75,14 +69,14 @@ main(int argc, char **argv)
               << formatDouble(100 * mix.intensiveFraction(), 0)
               << " % intensive) on " << rc.base.summary() << "\n\n";
 
-    ExperimentRunner runner(rc);
+    AloneBaselineCache baselines;
 
     // Summary metrics per scheme.
     TextTable summary({"scheme", "weighted speedup", "max slowdown",
                        "harmonic speedup", "pages migrated"});
     std::vector<MixResult> results;
     for (const auto &name : scheme_names) {
-        MixResult r = runner.runMix(mix, schemeByName(name));
+        MixResult r = runMixJob(rc, mix, schemeByName(name), baselines);
         summary.beginRow();
         summary.cell(r.schemeName);
         summary.cell(r.metrics.weightedSpeedup);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -58,15 +57,6 @@ Config::getString(const std::string &key, const std::string &def) const
 {
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
-}
-
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    return parseIntString(it->second, key);
 }
 
 std::uint64_t
@@ -138,20 +128,6 @@ Config::keys() const
     for (const auto &kv : values_)
         out.push_back(kv.first);
     return out;
-}
-
-std::string
-Config::toString() const
-{
-    std::ostringstream os;
-    bool sep = false;
-    for (const auto &kv : values_) {
-        if (sep)
-            os << ' ';
-        os << kv.first << '=' << kv.second;
-        sep = true;
-    }
-    return os.str();
 }
 
 } // namespace dbpsim

@@ -36,10 +36,7 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
-    /** Integer value (decimal, hex with 0x, or k/m/g suffix). */
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
-
-    /** Unsigned 64-bit value with the same syntax as getInt. */
+    /** Unsigned 64-bit value (decimal, hex with 0x, or k/m/g suffix). */
     std::uint64_t getUInt(const std::string &key, std::uint64_t def) const;
 
     /** Floating-point value. */
@@ -62,9 +59,6 @@ class Config
 
     /** All keys in insertion-independent (sorted) order. */
     std::vector<std::string> keys() const;
-
-    /** Render as "k1=v1 k2=v2 ..." (sorted), for logging. */
-    std::string toString() const;
 
   private:
     std::map<std::string, std::string> values_;

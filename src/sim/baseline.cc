@@ -24,44 +24,6 @@ hashString(const std::string &s)
     return h;
 }
 
-std::string
-aloneRunSignature(const RunConfig &rc)
-{
-    const SystemParams &p = rc.base;
-    std::ostringstream os;
-    os << "alone-v1"
-       << ";cpuRatio=" << p.cpuRatio
-       << ";core=" << p.core.windowSize << '/' << p.core.issueWidth
-       << '/' << p.core.mshrs << '/' << p.core.storeBufferSize << '/'
-       << p.core.lineBytes
-       << ";geom=" << p.geometry.channels << 'x'
-       << p.geometry.ranksPerChannel << 'x' << p.geometry.banksPerRank
-       << '/' << p.geometry.rowsPerBank << '/' << p.geometry.rowBytes
-       << '/' << p.geometry.lineBytes << '/' << p.geometry.pageBytes
-       << ";timing=" << p.timingName
-       << ";map=" << mapSchemeName(p.scheme)
-       << ";xor=" << p.bankXor
-       << ";ctrl=" << p.controller.readQueueSize << '/'
-       << p.controller.writeQueueSize << '/'
-       << p.controller.writeHiWatermark << '/'
-       << p.controller.writeLoWatermark << '/'
-       << p.controller.idleWriteThresh << '/'
-       << p.controller.forwardLatency << '/'
-       << static_cast<int>(p.controller.pagePolicy) << '/'
-       << p.controller.rowIdleTimeout
-       << ";refresh=" << refreshModeName(p.controller.refresh.mode)
-       << '/' << p.controller.refresh.aware << '/'
-       << p.controller.refresh.postponeMax << '/' << p.trefiOverride
-       << '/' << p.trfcOverride << '/' << p.trfcPbOverride
-       << ";cache=" << p.cacheEnabled;
-    if (p.cacheEnabled)
-        os << '/' << p.cache.sizeBytes << '/' << p.cache.associativity
-           << '/' << p.cache.lineBytes << '/' << p.cache.hitLatency;
-    os << ";warmup=" << rc.warmupCpu << ";measure=" << rc.measureCpu
-       << ";seed=" << rc.seedBase;
-    return os.str();
-}
-
 std::uint64_t
 jobSeed(std::uint64_t seed_base, const std::string &mix,
         const std::string &scheme)
@@ -165,7 +127,9 @@ profileFromJson(const Json &j)
     return p;
 }
 
-constexpr const char *kCacheFormat = "dbpsim-alone-cache-v1";
+// v2: keys hash the parameter table's hardware and run rows; v1 keys
+// missed the subarray keys, so v1 files are dropped, not merged.
+constexpr const char *kCacheFormat = "dbpsim-alone-cache-v2";
 
 } // namespace
 

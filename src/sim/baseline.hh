@@ -45,14 +45,6 @@ struct AloneBaseline
 std::uint64_t hashString(const std::string &s);
 
 /**
- * Canonical signature of every parameter an alone run depends on:
- * core front-end, DRAM geometry/timing, controller, address map,
- * cache, measurement window and seed base. Two RunConfigs with equal
- * signatures produce bit-identical alone runs.
- */
-std::string aloneRunSignature(const RunConfig &rc);
-
-/**
  * Deterministic per-job seed: a function of the seed base and the
  * mix/scheme names — never of submission order. Distinct names give
  * (with overwhelming probability) distinct, uncorrelated seeds.

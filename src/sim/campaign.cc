@@ -64,29 +64,10 @@ CampaignRun::job(const std::string &key) const
     fatal("campaign: no job result '", key, "'");
 }
 
-bool
-CampaignRun::has(const std::string &key) const
-{
-    for (const auto &r : results_)
-        if (r.first == key)
-            return true;
-    return false;
-}
-
 double
 CampaignRun::num(const std::string &key, const std::string &field) const
 {
     return job(key).at(field).asDouble();
-}
-
-std::vector<std::string>
-CampaignRun::jobKeys() const
-{
-    std::vector<std::string> keys;
-    keys.reserve(results_.size());
-    for (const auto &r : results_)
-        keys.push_back(r.first);
-    return keys;
 }
 
 void
@@ -190,29 +171,6 @@ findCampaign(const std::string &name)
 }
 
 // ---- signature / serialization --------------------------------------
-
-std::string
-runConfigSignature(const RunConfig &rc)
-{
-    const SystemParams &p = rc.base;
-    std::ostringstream os;
-    os << aloneRunSignature(rc)
-       << ";cores=" << p.numCores
-       << ";interval=" << p.profileIntervalCpu
-       << ";sched=" << p.scheduler << ";part=" << p.partition
-       << ";schedInit=" << p.sched.burstCycles << '/'
-       << p.sched.tcmShuffleInterval << '/' << p.sched.tcmClusterThresh
-       << '/' << p.sched.atlasQuantum << '/' << p.sched.parbsMarkingCap
-       << ";dbp=" << p.dbp.lightMpki << '/' << p.dbp.lightBanksPerThread
-       << '/' << p.dbp.streamRbhr << '/' << p.dbp.streamBanks << '/'
-       << p.dbp.maxDonorRows << '/' << p.dbp.flatDemand << '/'
-       << p.dbp.hysteresisBanks << '/' << p.dbp.lightShareCap
-       << ";mcp=" << p.mcp.lowMpki << '/' << p.mcp.highRbl
-       << ";mig=" << static_cast<int>(p.partMgr.migration) << '/'
-       << p.partMgr.maxMigratePages
-       << ";check=" << p.protocolCheck;
-    return os.str();
-}
 
 std::uint64_t
 runConfigHash(const RunConfig &rc)

@@ -102,14 +102,8 @@ class CampaignRun
     /** Job result by key; fatal() when absent. */
     const Json &job(const std::string &key) const;
 
-    /** True when a job with @p key exists. */
-    bool has(const std::string &key) const;
-
     /** Shorthand: numeric field @p field of job @p key. */
     double num(const std::string &key, const std::string &field) const;
-
-    /** All job keys in declaration order. */
-    std::vector<std::string> jobKeys() const;
 
     /** Record a summary metric (lands in the result JSON). */
     void summary(const std::string &name, double value);
@@ -189,12 +183,7 @@ struct CampaignRegistrar
 
 // ---- shared building blocks for the figure campaigns ----------------
 
-/**
- * Canonical signature/hash of a full run configuration (hardware +
- * policy tuning + measurement window), embedded into every result
- * document so trajectories compare like against like.
- */
-std::string runConfigSignature(const RunConfig &rc);
+/** Hash of runConfigSignature(), the result document's config hash. */
 std::uint64_t runConfigHash(const RunConfig &rc);
 
 /** Serialize one MixResult (stable field order). */

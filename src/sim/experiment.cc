@@ -1,7 +1,5 @@
 #include "sim/experiment.hh"
 
-#include "common/log.hh"
-
 namespace dbpsim {
 
 MixResult
@@ -47,34 +45,6 @@ runMixJob(const RunConfig &rc, const WorkloadMix &mix,
             static_cast<std::int64_t>(pc->violations());
     }
     return result;
-}
-
-ExperimentRunner::ExperimentRunner(
-    RunConfig config, std::shared_ptr<AloneBaselineCache> baselines)
-    : config_(std::move(config)), baselines_(std::move(baselines))
-{
-    DBP_ASSERT(config_.measureCpu > 0, "measureCpu must be > 0");
-    if (!baselines_)
-        baselines_ = std::make_shared<AloneBaselineCache>();
-}
-
-double
-ExperimentRunner::aloneIpc(const std::string &app) const
-{
-    return baselines_->get(config_, app).ipc;
-}
-
-ThreadMemProfile
-ExperimentRunner::aloneProfile(const std::string &app) const
-{
-    return baselines_->get(config_, app).profile;
-}
-
-MixResult
-ExperimentRunner::runMix(const WorkloadMix &mix,
-                         const Scheme &scheme) const
-{
-    return runMixJob(config_, mix, scheme, *baselines_);
 }
 
 } // namespace dbpsim

@@ -1,21 +1,20 @@
 /**
  * @file
- * Experiment harness: runs workload mixes under schemes, computing
- * alone-run baselines once per (application, hardware) pair and the
- * paper's metrics per run. Every figure campaign builds on this.
+ * Experiment harness: runs a workload mix under a scheme, taking
+ * alone-run baselines from a shared cache and computing the paper's
+ * metrics. Every figure campaign, example and experiment test builds
+ * on runMixJob().
  *
- * Thread-safety contract (the campaign layer depends on it): an
- * ExperimentRunner is stateless per run — runMix() and the alone
- * accessors are const and may be called concurrently from any number
- * of threads. The only shared mutable state is the alone-baseline
- * cache (see sim/baseline.hh), which synchronizes internally and may
- * be shared between runners so one process never repeats an alone run.
+ * Thread-safety contract (the campaign layer depends on it):
+ * runMixJob() is stateless and may be called concurrently from any
+ * number of threads. The only shared mutable state is the
+ * alone-baseline cache (see sim/baseline.hh), which synchronizes
+ * internally, so one process never repeats an alone run.
  */
 
 #ifndef DBPSIM_SIM_EXPERIMENT_HH
 #define DBPSIM_SIM_EXPERIMENT_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,26 +25,6 @@
 #include "trace/mix.hh"
 
 namespace dbpsim {
-
-/**
- * Harness configuration.
- */
-struct RunConfig
-{
-    /** Hardware/system baseline; scheduler/partition come per scheme. */
-    SystemParams base;
-
-    /** Warm-up CPU cycles (excluded from measurement). */
-    // dbplint:allow(cycle-literal) reason=scaled-down run-window default (see README "Notes on scale"), overridden by config key warmup
-    Cycle warmupCpu = 2'000'000;
-
-    /** Measured CPU cycles. */
-    // dbplint:allow(cycle-literal) reason=scaled-down run-window default (see README "Notes on scale"), overridden by config key measure
-    Cycle measureCpu = 5'000'000;
-
-    /** Base seed for trace-generator instantiation. */
-    std::uint64_t seedBase = 42;
-};
 
 /**
  * Result of one mix under one scheme.
@@ -79,53 +58,6 @@ struct MixResult
 MixResult runMixJob(const RunConfig &rc, const WorkloadMix &mix,
                     const Scheme &scheme,
                     AloneBaselineCache &baselines);
-
-/**
- * The harness. A thin, thread-safe facade over runMixJob() and the
- * alone-baseline cache; kept as the stable entry point for tests,
- * examples and ad-hoc experiments.
- */
-class ExperimentRunner
-{
-  public:
-    /**
-     * @param config Harness configuration.
-     * @param baselines Alone-run cache to share; a private one is
-     *        created when omitted.
-     */
-    explicit ExperimentRunner(
-        RunConfig config,
-        std::shared_ptr<AloneBaselineCache> baselines = nullptr);
-
-    /**
-     * Alone IPC of @p app on the configured hardware (FR-FCFS,
-     * unpartitioned, single core) — the denominator of every speedup.
-     */
-    double aloneIpc(const std::string &app) const;
-
-    /** Run @p mix under @p scheme. Thread-safe. */
-    MixResult runMix(const WorkloadMix &mix, const Scheme &scheme) const;
-
-    /**
-     * Alone-run characteristics of an application (for the workload
-     * table and motivation figures): measured MPKI, shadow row-buffer
-     * hit rate, BLP, IPC, footprint.
-     */
-    ThreadMemProfile aloneProfile(const std::string &app) const;
-
-    /** Configuration access. */
-    const RunConfig &config() const { return config_; }
-
-    /** The shared alone-baseline cache. */
-    const std::shared_ptr<AloneBaselineCache> &baselines() const
-    {
-        return baselines_;
-    }
-
-  private:
-    RunConfig config_;
-    std::shared_ptr<AloneBaselineCache> baselines_;
-};
 
 } // namespace dbpsim
 

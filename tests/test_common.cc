@@ -49,9 +49,9 @@ TEST(Config, SetGetRoundTrip)
     c.set("sched", "tcm");
     EXPECT_TRUE(c.has("banks"));
     EXPECT_FALSE(c.has("ranks"));
-    EXPECT_EQ(c.getInt("banks", 0), 32);
+    EXPECT_EQ(c.getUInt("banks", 0), 32u);
     EXPECT_EQ(c.getString("sched", ""), "tcm");
-    EXPECT_EQ(c.getInt("missing", 7), 7);
+    EXPECT_EQ(c.getUInt("missing", 7), 7u);
 }
 
 TEST(Config, IntegerSuffixes)
@@ -61,10 +61,10 @@ TEST(Config, IntegerSuffixes)
     c.set("b", "2m");
     c.set("cap", "1g");
     c.set("hex", "0x20");
-    EXPECT_EQ(c.getInt("a", 0), 4096);
-    EXPECT_EQ(c.getInt("b", 0), 2 * 1024 * 1024);
-    EXPECT_EQ(c.getInt("cap", 0), 1024LL * 1024 * 1024);
-    EXPECT_EQ(c.getInt("hex", 0), 32);
+    EXPECT_EQ(c.getUInt("a", 0), 4096u);
+    EXPECT_EQ(c.getUInt("b", 0), 2u * 1024 * 1024);
+    EXPECT_EQ(c.getUInt("cap", 0), 1024ULL * 1024 * 1024);
+    EXPECT_EQ(c.getUInt("hex", 0), 32u);
 }
 
 TEST(Config, Bools)
@@ -88,14 +88,6 @@ TEST(Config, ParseToken)
     EXPECT_FALSE(c.parseToken("novalue"));
     EXPECT_FALSE(c.parseToken("=broken"));
     EXPECT_EQ(c.getString("key", ""), "value");
-}
-
-TEST(Config, ToStringSorted)
-{
-    Config c;
-    c.set("zeta", "1");
-    c.set("alpha", "2");
-    EXPECT_EQ(c.toString(), "alpha=2 zeta=1");
 }
 
 TEST(Rng, Deterministic)

@@ -47,19 +47,21 @@ TEST(Schemes, ApplyOverridesOnlySchedAndPart)
 
 TEST(Experiment, AloneIpcCachedAndPositive)
 {
-    ExperimentRunner runner(tinyConfig());
-    double ipc1 = runner.aloneIpc("gcc");
+    AloneBaselineCache baselines;
+    double ipc1 = baselines.get(tinyConfig(), "gcc").ipc;
     EXPECT_GT(ipc1, 0.0);
     EXPECT_LE(ipc1, 4.0);
     // Second call hits the cache and returns the identical value.
-    EXPECT_DOUBLE_EQ(runner.aloneIpc("gcc"), ipc1);
+    EXPECT_DOUBLE_EQ(baselines.get(tinyConfig(), "gcc").ipc, ipc1);
+    EXPECT_EQ(baselines.computeCount(), 1u);
 }
 
 TEST(Experiment, AloneProfileMatchesAppCharacter)
 {
-    ExperimentRunner runner(tinyConfig());
-    ThreadMemProfile libq = runner.aloneProfile("libquantum");
-    ThreadMemProfile mcf = runner.aloneProfile("mcf");
+    AloneBaselineCache baselines;
+    ThreadMemProfile libq =
+        baselines.get(tinyConfig(), "libquantum").profile;
+    ThreadMemProfile mcf = baselines.get(tinyConfig(), "mcf").profile;
     // libquantum: streaming — much higher row locality than mcf.
     EXPECT_GT(libq.rowBufferHitRate, mcf.rowBufferHitRate);
     // mcf: much higher bank parallelism.
@@ -70,9 +72,10 @@ TEST(Experiment, AloneProfileMatchesAppCharacter)
 
 TEST(Experiment, RunMixProducesConsistentMetrics)
 {
-    ExperimentRunner runner(tinyConfig());
+    AloneBaselineCache baselines;
     WorkloadMix mix{"t", {"libquantum", "omnetpp", "gcc", "hmmer"}};
-    MixResult r = runner.runMix(mix, schemeByName("FR-FCFS"));
+    MixResult r = runMixJob(tinyConfig(), mix, schemeByName("FR-FCFS"),
+                            baselines);
 
     ASSERT_EQ(r.sharedIpc.size(), 4u);
     ASSERT_EQ(r.aloneIpc.size(), 4u);
@@ -89,9 +92,10 @@ TEST(Experiment, RunMixProducesConsistentMetrics)
 
 TEST(Experiment, DbpSchemeReportsRepartitions)
 {
-    ExperimentRunner runner(tinyConfig());
+    AloneBaselineCache baselines;
     WorkloadMix mix{"t", {"mcf", "libquantum", "gcc", "hmmer"}};
-    MixResult r = runner.runMix(mix, schemeByName("DBP"));
+    MixResult r =
+        runMixJob(tinyConfig(), mix, schemeByName("DBP"), baselines);
     EXPECT_GE(r.repartitions, 1u);
 }
 
@@ -99,8 +103,8 @@ TEST(Experiment, DeterministicResults)
 {
     WorkloadMix mix{"t", {"libquantum", "gcc"}};
     auto run = [&] {
-        ExperimentRunner runner(tinyConfig());
-        return runner.runMix(mix, schemeByName("UBP"));
+        AloneBaselineCache baselines;
+        return runMixJob(tinyConfig(), mix, schemeByName("UBP"), baselines);
     };
     MixResult a = run();
     MixResult b = run();

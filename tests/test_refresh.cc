@@ -313,9 +313,9 @@ TEST(Refresh, ModeNamesRoundTrip)
 
 TEST(Refresh, ConfigKeysReachTheEngineParams)
 {
-    SystemParams params;
-    EXPECT_EQ(params.controller.refresh.mode, RefreshMode::AllBank);
-    EXPECT_FALSE(params.controller.refresh.aware);
+    SystemParams defaults;
+    EXPECT_EQ(defaults.controller.refresh.mode, RefreshMode::AllBank);
+    EXPECT_FALSE(defaults.controller.refresh.aware);
 
     Config cfg;
     cfg.parseToken("refresh=darp");
@@ -323,7 +323,7 @@ TEST(Refresh, ConfigKeysReachTheEngineParams)
     cfg.parseToken("trefi=5000");
     cfg.parseToken("trfc=100");
     cfg.parseToken("trfc_pb=50");
-    params.applyConfig(cfg);
+    const SystemParams params = makeRunConfig(cfg).base;
 
     EXPECT_EQ(params.controller.refresh.mode, RefreshMode::PerBank);
     EXPECT_TRUE(params.controller.refresh.aware);
@@ -337,8 +337,8 @@ TEST(Refresh, ConfigKeysReachTheEngineParams)
 
     Config off;
     off.parseToken("refresh=none");
-    params.applyConfig(off);
-    EXPECT_EQ(params.controller.refresh.mode, RefreshMode::None);
+    EXPECT_EQ(makeRunConfig(off).base.controller.refresh.mode,
+              RefreshMode::None);
 }
 
 TEST(Refresh, SignatureSeparatesRefreshConfigs)

@@ -22,7 +22,6 @@
 #include <memory>
 #include <sstream>
 
-#include "bench_common.hh"
 #include "sim/baseline.hh"
 #include "sim/campaign.hh"
 
@@ -116,7 +115,7 @@ TEST(Salp, SeedDigestUnchangedWithSalpDisabled)
     cfg.parseToken("measure=1000000");
     cfg.parseToken("seed=42");
     cfg.parseToken("check=0");
-    RunConfig rc = bench::makeRunConfig(cfg);
+    RunConfig rc = makeRunConfig(cfg);
 
     const CampaignSpec *fig4 = findCampaign("fig4");
     ASSERT_NE(fig4, nullptr);

@@ -189,8 +189,7 @@ TEST(SystemConfig, AppliesOverrides)
     cfg.parseToken("migration=none");
     cfg.parseToken("timing=ddr3-1333");
     cfg.parseToken("window=64");
-    SystemParams p;
-    p.applyConfig(cfg);
+    const SystemParams p = makeRunConfig(cfg).base;
     EXPECT_EQ(p.numCores, 3u);
     EXPECT_EQ(p.geometry.banksPerRank, 16u);
     EXPECT_EQ(p.scheduler, "atlas");
@@ -204,8 +203,7 @@ TEST(SystemConfig, RejectsBadValues)
 {
     Config cfg;
     cfg.parseToken("page_policy=weird");
-    SystemParams p;
-    EXPECT_EXIT({ p.applyConfig(cfg); },
+    EXPECT_EXIT(makeRunConfig(cfg),
                 ::testing::ExitedWithCode(1), "page_policy");
 }
 

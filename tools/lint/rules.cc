@@ -507,7 +507,7 @@ Linter::ruleConfigKeyDoc(const ScannedFile &sf)
         if (toks[i].kind != TokKind::Ident)
             continue;
         const std::string &id = toks[i].text;
-        if (id != "getString" && id != "getInt" && id != "getUInt" &&
+        if (id != "getString" && id != "getUInt" &&
             id != "getDouble" && id != "getBool")
             continue;
         if (!(toks[i + 1].kind == TokKind::Punct &&
