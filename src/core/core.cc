@@ -37,22 +37,20 @@ TraceCore::fetch()
         Entry memop;
         memop.kind = rec.write ? Entry::Kind::Store : Entry::Kind::Load;
         memop.vaddr = rec.vaddr - rec.vaddr % params_.lineBytes;
-        memop.serial = nextSerial_++;
         window_.push_back(memop);
         windowInstrs_ += 1;
     }
 }
 
 bool
-TraceCore::tryIssueLoad(Entry &entry)
+TraceCore::tryIssueLoad(std::uint64_t pos)
 {
-    Addr line = entry.vaddr;
+    Addr line = window_[pos - popped_].vaddr;
 
     // Merge with an outstanding MSHR for the same line.
     for (auto &m : mshrs_) {
         if (m.valid && m.lineAddr == line) {
-            m.waiters.push_back(entry.serial);
-            entry.issued = true;
+            m.waiters.push_back(pos);
             statMshrMerges.inc();
             return true;
         }
@@ -78,9 +76,8 @@ TraceCore::tryIssueLoad(Entry &entry)
 
     mshrs_[slot].valid = true;
     mshrs_[slot].lineAddr = line;
-    mshrs_[slot].waiters.assign(1, entry.serial);
+    mshrs_[slot].waiters.assign(1, pos);
     ++mshrInUse_;
-    entry.issued = true;
     statLoads.inc();
     return true;
 }
@@ -88,10 +85,11 @@ TraceCore::tryIssueLoad(Entry &entry)
 void
 TraceCore::issueLoads()
 {
-    for (auto &entry : window_) {
-        if (entry.kind != Entry::Kind::Load || entry.issued)
+    const std::uint64_t end = popped_ + window_.size();
+    for (; nextIssue_ < end; ++nextIssue_) {
+        if (window_[nextIssue_ - popped_].kind != Entry::Kind::Load)
             continue;
-        if (!tryIssueLoad(entry))
+        if (!tryIssueLoad(nextIssue_))
             break; // in-order issue attempts; retry next cycle.
     }
 }
@@ -103,14 +101,14 @@ TraceCore::readComplete(std::uint64_t tag)
     Mshr &m = mshrs_[tag];
     DBP_ASSERT(m.valid, "completion for free MSHR " << tag);
 
-    for (std::uint64_t serial : m.waiters) {
-        for (auto &entry : window_) {
-            if (entry.kind == Entry::Kind::Load &&
-                entry.serial == serial) {
-                entry.completed = true;
-                break;
-            }
-        }
+    for (std::uint64_t pos : m.waiters) {
+        DBP_ASSERT(pos >= popped_ && pos < nextIssue_,
+                   "waiter " << pos << " is not an issued entry in the "
+                   "window [" << popped_ << ", " << nextIssue_ << ")");
+        Entry &entry = window_[pos - popped_];
+        DBP_ASSERT(entry.kind == Entry::Kind::Load && !entry.completed,
+                   "waiter " << pos << " is not an outstanding load");
+        entry.completed = true;
     }
     m.valid = false;
     m.waiters.clear();
@@ -130,6 +128,13 @@ TraceCore::drainStoreBuffer()
 }
 
 void
+TraceCore::popHead()
+{
+    window_.pop_front();
+    ++popped_;
+}
+
+void
 TraceCore::retire()
 {
     std::uint64_t budget = params_.issueWidth;
@@ -144,7 +149,7 @@ TraceCore::retire()
             retired_ += take;
             windowInstrs_ -= take;
             if (head.count == 0)
-                window_.pop_front();
+                popHead();
             break;
           }
           case Entry::Kind::Load: {
@@ -155,7 +160,7 @@ TraceCore::retire()
             retired_ += 1;
             windowInstrs_ -= 1;
             --budget;
-            window_.pop_front();
+            popHead();
             break;
           }
           case Entry::Kind::Store: {
@@ -167,7 +172,7 @@ TraceCore::retire()
             retired_ += 1;
             windowInstrs_ -= 1;
             --budget;
-            window_.pop_front();
+            popHead();
             break;
           }
         }

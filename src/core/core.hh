@@ -113,15 +113,13 @@ class TraceCore : public MemClient
         enum class Kind { Bubble, Load, Store } kind = Kind::Bubble;
         std::uint64_t count = 0; ///< remaining instructions (bubbles).
         Addr vaddr = 0;          ///< memory entries.
-        bool issued = false;     ///< load sent to memory / MSHR merged.
         bool completed = false;  ///< load data returned.
-        std::uint64_t serial = 0; ///< unique id for MSHR attachment.
     };
 
     /** Fill the window from the trace. */
     void fetch();
 
-    /** Try to issue every unissued load in the window. */
+    /** Try to issue the unissued loads, from nextIssue_ on. */
     void issueLoads();
 
     /** Retire from the head, up to issueWidth instructions. */
@@ -130,25 +128,36 @@ class TraceCore : public MemClient
     /** Drain one store-buffer entry if the memory system accepts. */
     void drainStoreBuffer();
 
-    /** Try to issue one load entry; updates MSHR state. */
-    bool tryIssueLoad(Entry &entry);
+    /** Try to issue the load at window position @p pos; updates
+     *  MSHR state. */
+    bool tryIssueLoad(std::uint64_t pos);
+
+    /** Remove the head entry from the window. */
+    void popHead();
 
     ThreadId tid_;
     CoreParams params_;
     TraceSource *source_;
     CoreMemoryInterface *mem_;
 
+    /**
+     * Entries are addressed by position: the entry at position p is
+     * window_[p - popped_]. Every load before nextIssue_ has issued
+     * (issue attempts go in window order and stop at the first
+     * refusal), and every load from nextIssue_ on has not.
+     */
     std::deque<Entry> window_;
+    std::uint64_t popped_ = 0;       ///< entries retired so far.
+    std::uint64_t nextIssue_ = 0;    ///< where issueLoads resumes.
     std::uint64_t windowInstrs_ = 0; ///< instructions in the window.
     InstCount retired_ = 0;
-    std::uint64_t nextSerial_ = 0;
 
     /** MSHR: line address + completion fan-out to window entries. */
     struct Mshr
     {
         bool valid = false;
         Addr lineAddr = 0;
-        std::vector<std::uint64_t> waiters; ///< entry serials.
+        std::vector<std::uint64_t> waiters; ///< entry positions.
     };
     std::vector<Mshr> mshrs_;
     unsigned mshrInUse_ = 0;

@@ -25,9 +25,12 @@ MemoryController::MemoryController(unsigned channel_id,
                "write hi watermark exceeds queue size");
     threadStats_.resize(params_.numThreads);
     latencyHist_.assign(params_.numThreads, StatHistogram(128, 8.0));
-    lastColumnUse_.assign(static_cast<std::size_t>(
-        map.geometry().ranksPerChannel) * map.geometry().banksPerRank,
-        0);
+    const std::size_t banks_total =
+        std::size_t{channel_.numRanks()} * channel_.numBanks();
+    lastColumnUse_.assign(banks_total, 0);
+    bankDemand_.assign(banks_total, 0);
+    rankDemand_.assign(channel_.numRanks(), 0);
+    bestHit_.resize(banks_total);
     readQ_.reserve(params_.readQueueSize);
     writeQ_.reserve(params_.writeQueueSize);
     scheduler_->attachQueueView(this);
@@ -94,6 +97,8 @@ MemoryController::enqueueRead(Addr paddr, ThreadId tid, MemClient *client,
     }
     scheduler_->onEnqueue(req);
     readQ_.push_back(req);
+    ++bankDemand_[bankSlot(req.coord.rank, req.coord.bank)];
+    ++rankDemand_[req.coord.rank];
     statReadsEnqueued.inc();
     return true;
 }
@@ -128,6 +133,8 @@ MemoryController::enqueueWrite(Addr paddr, ThreadId tid, Cycle now)
         profiler_->onOutstandingInc(tid, color, req.coord.row, false);
     }
     writeQ_.push_back(req);
+    ++bankDemand_[bankSlot(req.coord.rank, req.coord.bank)];
+    ++rankDemand_[req.coord.rank];
     statWritesEnqueued.inc();
     return true;
 }
@@ -183,25 +190,13 @@ MemoryController::completeReads(Cycle now)
 bool
 MemoryController::hasBankDemand(unsigned rank, unsigned bank) const
 {
-    for (const auto &req : readQ_)
-        if (req.coord.rank == rank && req.coord.bank == bank)
-            return true;
-    for (const auto &req : writeQ_)
-        if (req.coord.rank == rank && req.coord.bank == bank)
-            return true;
-    return false;
+    return bankDemand_[bankSlot(rank, bank)] != 0;
 }
 
 bool
 MemoryController::hasRankDemand(unsigned rank) const
 {
-    for (const auto &req : readQ_)
-        if (req.coord.rank == rank)
-            return true;
-    for (const auto &req : writeQ_)
-        if (req.coord.rank == rank)
-            return true;
-    return false;
+    return rankDemand_[rank] != 0;
 }
 
 void
@@ -295,16 +290,14 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
     // Pass 1: per (rank, bank), find the highest-priority queued
     // request that is a row hit — the precharge guard. A request may
     // close a row only if it outranks every queued hit on that row.
-    const unsigned banks_total = channel_.numRanks() * channel_.numBanks();
-    std::vector<const MemRequest *> best_hit(banks_total, nullptr);
+    std::fill(bestHit_.begin(), bestHit_.end(), nullptr);
     for (const auto &req : queue) {
         if (!ctx.rowHit(req))
             continue;
-        unsigned slot = req.coord.rank * channel_.numBanks() +
-            req.coord.bank;
-        if (!best_hit[slot] ||
-            scheduler_->higherPriority(req, *best_hit[slot], ctx))
-            best_hit[slot] = &req;
+        const MemRequest *&best = bestHit_[bankSlot(req.coord.rank,
+                                                    req.coord.bank)];
+        if (!best || scheduler_->higherPriority(req, *best, ctx))
+            best = &req;
     }
 
     // Pass 2: among requests whose next command is legal right now,
@@ -318,9 +311,8 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
             continue;
         NextCmd nc = nextCommandFor(req, queue);
         if (nc.cmd == DramCmd::Precharge) {
-            unsigned slot = req.coord.rank * channel_.numBanks() +
-                req.coord.bank;
-            const MemRequest *hit = best_hit[slot];
+            const MemRequest *hit =
+                bestHit_[bankSlot(req.coord.rank, req.coord.bank)];
             if (hit && !scheduler_->higherPriority(req, *hit, ctx))
                 continue; // would destroy a higher-priority row hit.
         }
@@ -370,8 +362,7 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
         Cycle done = channel_.issue(best_cmd.cmd, req.coord.rank,
                                     req.coord.bank, best_cmd.row, now,
                                     req.tid);
-        lastColumnUse_[req.coord.rank * channel_.numBanks() +
-                       req.coord.bank] = now;
+        lastColumnUse_[bankSlot(req.coord.rank, req.coord.bank)] = now;
         row_hit_service = !req.triggeredAct;
         if (req.tid >= 0 &&
             static_cast<unsigned>(req.tid) < params_.numThreads) {
@@ -399,6 +390,12 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
                                          completed.enqueueCycle});
             scheduler_->onComplete(completed, done);
         }
+        unsigned &bank_demand =
+            bankDemand_[bankSlot(req.coord.rank, req.coord.bank)];
+        DBP_ASSERT(bank_demand > 0 && rankDemand_[req.coord.rank] > 0,
+                   "demand count underflow");
+        --bank_demand;
+        --rankDemand_[req.coord.rank];
         queue.erase(queue.begin() +
                     static_cast<std::ptrdiff_t>(best_idx));
         return true;
@@ -419,7 +416,7 @@ MemoryController::closeIdleRows(Cycle now)
             if (!bs.open())
                 continue;
             const std::uint64_t row = bs.row();
-            Cycle last = lastColumnUse_[r * channel_.numBanks() + b];
+            Cycle last = lastColumnUse_[bankSlot(r, b)];
             if (now < last + params_.rowIdleTimeout)
                 continue;
             // Keep the row open while anyone still wants it.

@@ -208,6 +208,12 @@ class MemoryController : public QueueView, public RefreshDemandView
     /** Machine-wide color of a coordinate (profiler indexing). */
     unsigned colorOf(const DramCoord &coord) const;
 
+    /** Index of (@p rank, @p bank) in the per-bank vectors. */
+    std::size_t bankSlot(unsigned rank, unsigned bank) const
+    {
+        return rank * channel_.numBanks() + bank;
+    }
+
     const AddressMap &map_;
     ControllerParams params_;
     DramChannel channel_;
@@ -217,6 +223,17 @@ class MemoryController : public QueueView, public RefreshDemandView
 
     std::vector<MemRequest> readQ_;
     std::vector<MemRequest> writeQ_;
+
+    /**
+     * Queued reads plus writes per bank slot and per rank: raised
+     * where readQ_/writeQ_ grow, lowered at the one erase in
+     * issueFromQueue. They answer the RefreshDemandView in O(1).
+     */
+    std::vector<unsigned> bankDemand_;
+    std::vector<unsigned> rankDemand_;
+
+    /** issueFromQueue's per-bank best queued row hit (reused). */
+    std::vector<const MemRequest *> bestHit_;
 
     /** A read issued to DRAM, waiting for its data burst to finish. */
     struct Inflight

@@ -3,11 +3,14 @@
  * Memory-controller tests: end-to-end request service through the
  * DRAM FSM, read latencies for hits vs conflicts, write-drain
  * hysteresis, write-to-read forwarding, coalescing, refresh service,
- * backpressure, and per-thread accounting.
+ * backpressure, per-thread accounting, and the per-bank/per-rank
+ * demand view the refresh engine reads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "mem/controller.hh"
@@ -328,6 +331,82 @@ TEST_F(ControllerFixture, ProfilerSeesRequestsAndOutstanding)
                                        {0, 0, 0, 0});
     EXPECT_EQ(profiles[1].requests, 1u);
     EXPECT_GT(profiles[1].blp, 0.0);
+}
+
+TEST_F(ControllerFixture, DemandViewTracksQueuedRequests)
+{
+    // Two ranks, so the per-rank view has something to tell apart;
+    // idleWriteThresh = 1 lets the lone write drain once reads are
+    // done.
+    DramGeometry g = geo();
+    g.ranksPerChannel = 2;
+    AddressMap map(g, MapScheme::PageInterleave);
+    ControllerParams params;
+    params.numThreads = 4;
+    params.idleWriteThresh = 1;
+    MemoryController mc(0, map, timing_, params, &sched_, nullptr);
+
+    auto at = [&](unsigned rank, unsigned bank, std::uint64_t row) {
+        DramCoord c;
+        c.channel = 0;
+        c.rank = rank;
+        c.bank = bank;
+        c.row = row;
+        return map.encode(c);
+    };
+    using Bank = std::pair<unsigned, unsigned>;
+    auto banksWithDemand = [&] {
+        std::vector<Bank> banks;
+        for (unsigned r = 0; r < g.ranksPerChannel; ++r)
+            for (unsigned b = 0; b < g.banksPerRank; ++b)
+                if (mc.hasBankDemand(r, b))
+                    banks.emplace_back(r, b);
+        return banks;
+    };
+    auto ranksWithDemand = [&] {
+        std::vector<unsigned> ranks;
+        for (unsigned r = 0; r < g.ranksPerChannel; ++r)
+            if (mc.hasRankDemand(r))
+                ranks.push_back(r);
+        return ranks;
+    };
+
+    Catcher cat;
+    const Addr written = at(1, 6, 9);
+    ASSERT_TRUE(mc.enqueueRead(at(0, 2, 5), 0, &cat, 0, 0));
+    ASSERT_TRUE(mc.enqueueWrite(written, 1, 0));
+    const std::vector<Bank> both = {{0, 2}, {1, 6}};
+    EXPECT_EQ(banksWithDemand(), both);
+    EXPECT_EQ(ranksWithDemand(), (std::vector<unsigned>{0, 1}));
+
+    // A coalesced write and a forwarded read queue nothing new.
+    ASSERT_TRUE(mc.enqueueWrite(written, 1, 0));
+    EXPECT_EQ(mc.statWriteCoalesced.value(), 1u);
+    ASSERT_TRUE(mc.enqueueRead(written, 1, &cat, 1, 0));
+    EXPECT_EQ(mc.statWriteForwards.value(), 1u);
+    EXPECT_EQ(banksWithDemand(), both);
+    EXPECT_EQ(ranksWithDemand(), (std::vector<unsigned>{0, 1}));
+
+    // The read's demand clears when its column command issues, before
+    // its data returns.
+    Cycle c = 0;
+    while (mc.channel().statReads.value() == 0 && c < 1000)
+        mc.tick(c++);
+    ASSERT_EQ(mc.channel().statReads.value(), 1u);
+    EXPECT_EQ(std::count(cat.completed.begin(), cat.completed.end(), 0u),
+              0);
+    EXPECT_EQ(banksWithDemand(), (std::vector<Bank>{{1, 6}}));
+    EXPECT_EQ(ranksWithDemand(), (std::vector<unsigned>{1}));
+
+    // The write drains once the read has returned; then no demand is
+    // left anywhere.
+    while (mc.channel().statWrites.value() == 0 && c < 2000)
+        mc.tick(c++);
+    ASSERT_EQ(mc.channel().statWrites.value(), 1u);
+    EXPECT_EQ(std::count(cat.completed.begin(), cat.completed.end(), 0u),
+              1);
+    EXPECT_TRUE(banksWithDemand().empty());
+    EXPECT_TRUE(ranksWithDemand().empty());
 }
 
 TEST_F(ControllerFixture, MigrationCostBlocksServicing)
