@@ -38,12 +38,6 @@ DramChannel::DramChannel(const DramGeometry &geom, const DramTiming &timing,
                   geom.banksPerRank);
     for (BankState &b : banks_)
         b.subs.resize(subarraysPerBank_);
-
-    // Stagger initial refresh deadlines so ranks don't refresh in
-    // lock-step (matches real controllers and avoids bus storms).
-    for (unsigned r = 0; r < ranks_.size(); ++r)
-        ranks_[r].refreshDueAt = timing_.tREFI * (r + 1)
-            / ranks_.size();
 }
 
 const BankState &
@@ -302,7 +296,6 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
                 s.nextActivate = std::max(s.nextActivate,
                                           now + timing_.tRFC);
         r.refreshDoneAt = now + timing_.tRFC;
-        r.refreshDueAt += timing_.tREFI;
         statRefreshes.inc();
         return 0;
       }
@@ -315,14 +308,6 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
       }
     }
     DBP_PANIC("unreachable DramCmd");
-}
-
-bool
-DramChannel::refreshPending(unsigned rank_idx, Cycle now) const
-{
-    DBP_ASSERT(rank_idx < ranks_.size(), "rank out of range");
-    const RankState &r = ranks_[rank_idx];
-    return !r.refreshing(now) && now >= r.refreshDueAt;
 }
 
 void

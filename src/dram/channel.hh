@@ -96,9 +96,6 @@ class DramChannel
      */
     void setObserver(CommandObserver *observer) { observer_ = observer; }
 
-    /** True once rank @p rank's refresh deadline has passed. */
-    bool refreshPending(unsigned rank, Cycle now) const;
-
     /** Read-only bank state: its subarrays and the bank-level views
      *  (for the controller, refresh engine and tests). */
     const BankState &bank(unsigned rank, unsigned bank_idx) const;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Per-rank DRAM state: the tFAW activate window, rank-level command
- * separations, and refresh bookkeeping.
+ * separations, and the in-flight all-bank refresh. The refresh
+ * schedule lives in the RefreshEngine.
  */
 
 #ifndef DBPSIM_DRAM_RANK_HH
@@ -33,9 +34,6 @@ struct RankState
 
     /** Earliest cycle the next READ may issue (tWTR after writes). */
     Cycle nextRead = 0;
-
-    /** When the next auto-refresh becomes due. */
-    Cycle refreshDueAt = 0;
 
     /** End of an in-flight refresh (banks blocked until then). */
     Cycle refreshDoneAt = 0;

@@ -285,7 +285,7 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
     if (queue.empty())
         return false;
 
-    SchedContext ctx{channel_, now, &refresh_};
+    SchedContext ctx{channel_, now};
 
     // Pass 1: per (rank, bank), find the highest-priority queued
     // request that is a row hit — the precharge guard. A request may

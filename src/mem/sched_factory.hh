@@ -27,8 +27,8 @@ struct SchedulerInit
     // dbplint:allow(cycle-literal) reason=TCM paper constant (800-cycle shuffle), overridden by config key tcm_shuffle
     Cycle tcmShuffleInterval = 800;
     double tcmClusterThresh = 0.10;
-    // dbplint:allow(cycle-literal) reason=ATLAS paper quantum in bus cycles, overridden by config key atlas_quantum
-    Cycle atlasQuantum = 2'500'000;
+    // dbplint:allow(cycle-literal) reason=evaluation default, the ATLAS paper quantum scaled to the shortened run window like the profiling interval; overridden by config key atlas_quantum
+    Cycle atlasQuantum = 150'000; ///< ATLAS quantum (bus cycles).
     unsigned parbsMarkingCap = 5;
 };
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "dram/channel.hh"
-#include "dram/refresh.hh"
 #include "mem/request.hh"
 #include "mem/thread_profile.hh"
 
@@ -32,26 +31,12 @@ struct SchedContext
     const DramChannel &channel; ///< channel the decision is for.
     Cycle now;                  ///< current memory-bus cycle.
 
-    /** The channel's refresh engine; null in bare test harnesses.
-     *  Policies may consult it to favour draining banks whose refresh
-     *  debt is nearly exhausted (the controller already applies that
-     *  boost above the policy order in refresh-aware mode). */
-    const RefreshEngine *refresh = nullptr;
-
     /** Is @p req a row-buffer hit right now? */
     bool
     rowHit(const MemRequest &req) const
     {
         return channel.rowOpen(req.coord.rank, req.coord.bank,
                                req.coord.row);
-    }
-
-    /** Is @p req's bank close to a forced refresh (aware mode)? */
-    bool
-    refreshUrgent(const MemRequest &req) const
-    {
-        return refresh &&
-               refresh->drainBoost(req.coord.rank, req.coord.bank);
     }
 };
 

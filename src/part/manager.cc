@@ -90,18 +90,7 @@ PartitionManager::applyLazyMoves(
     Cycle mem_now)
 {
     statPagesMigrated.inc(moves.size());
-    std::map<unsigned, Cycle> bank_busy;
-    for (const auto &[src, dst] : moves) {
-        bank_busy[src] += pageMoveCost_;
-        bank_busy[dst] += pageMoveCost_;
-    }
-    for (const auto &[color, busy] : bank_busy) {
-        auto loc = map_.colorLocation(color);
-        DBP_ASSERT(loc.channel < controllers_.size(),
-                   "color channel out of range");
-        controllers_[loc.channel]->applyMigrationCost(loc.rank, loc.bank,
-                                                      mem_now, busy);
-    }
+    chargeMoves(moves, mem_now);
 }
 
 void
@@ -116,7 +105,7 @@ PartitionManager::migrateStep(Cycle mem_now)
     // copy engine.
     std::uint64_t budget = params_.maxMigratePages;
     bool unlimited = budget == 0;
-    std::map<unsigned, Cycle> bank_busy;
+    std::vector<std::pair<unsigned, unsigned>> moves;
     for (unsigned t = 0; t < os_.numThreads(); ++t) {
         if (!unlimited && budget == 0)
             break;
@@ -133,10 +122,21 @@ PartitionManager::migrateStep(Cycle mem_now)
         statPagesMigrated.inc(moved.pages);
         if (params_.migration == MigrationMode::EagerFree)
             continue;
-        for (const auto &[src, dst] : moved.moves) {
-            bank_busy[src] += pageMoveCost_;
-            bank_busy[dst] += pageMoveCost_;
-        }
+        moves.insert(moves.end(), moved.moves.begin(), moved.moves.end());
+    }
+    chargeMoves(moves, mem_now);
+}
+
+void
+PartitionManager::chargeMoves(
+    const std::vector<std::pair<unsigned, unsigned>> &moves, Cycle mem_now)
+{
+    // Each page is read at its source bank and written at its
+    // destination; every bank is charged once, in color order.
+    std::map<unsigned, Cycle> bank_busy;
+    for (const auto &[src, dst] : moves) {
+        bank_busy[src] += pageMoveCost_;
+        bank_busy[dst] += pageMoveCost_;
     }
     for (const auto &[color, busy] : bank_busy) {
         auto loc = map_.colorLocation(color);

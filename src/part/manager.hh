@@ -103,6 +103,12 @@ class PartitionManager
     /** One background-migration step within the global budget. */
     void migrateStep(Cycle mem_now);
 
+    /** Occupy the source and destination bank of every (source color,
+     *  destination color) page move for its copy time. */
+    void chargeMoves(
+        const std::vector<std::pair<unsigned, unsigned>> &moves,
+        Cycle mem_now);
+
     std::unique_ptr<PartitionPolicy> policy_;
     OsMemory &os_;
     std::vector<MemoryController *> controllers_;

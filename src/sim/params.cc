@@ -278,15 +278,6 @@ makeRunConfig(const Config &cfg, const std::vector<std::string> &driver_keys)
     }
 
     RunConfig rc;
-    // The paper's 10 M-cycle profiling interval and ATLAS quantum suit
-    // its billion-instruction runs; both scale with our shorter window
-    // so DBP repartitions several times per run. 2.5 M cycles of
-    // warm-up let dynamic partitions converge and the migration engine
-    // finish before the 4 M measured cycles.
-    rc.base.profileIntervalCpu = 500'000;
-    rc.base.sched.atlasQuantum = 150'000;
-    rc.warmupCpu = 2'500'000;
-    rc.measureCpu = 4'000'000;
     for (const ParamRow &r : table)
         if (cfg.has(r.key))
             r.apply(rc, cfg, r.key);

@@ -91,17 +91,19 @@ asLineRules(const std::vector<Finding> &findings)
 
 /**
  * Lint one fixture under a synthetic src/ path (the banned and
- * cycle-literal rules are path-sensitive) and require the finding set
+ * cycle-literal rules are path-sensitive), or under @p path beside the
+ * files of @p corpus (cross-file rules), and require the finding set
  * to match the fixture's markers exactly.
  */
 void
-checkFixture(const std::string &name)
+checkFixture(const std::string &name, const std::string &path = "",
+             Corpus corpus = {})
 {
     const std::string content =
         slurp(repoRoot() / "tools/lint/fixtures" / name);
     ASSERT_FALSE(content.empty()) << "fixture " << name;
-    Corpus corpus;
-    corpus.files.push_back({"src/fixture/" + name, content});
+    corpus.files.push_back(
+        {path.empty() ? "src/fixture/" + name : path, content});
     EXPECT_EQ(asLineRules(lintCorpus(corpus)), expectedMarkers(content))
         << "fixture " << name;
 }
@@ -133,6 +135,16 @@ TEST(DbplintFixture, CycleLiteral) { checkFixture("cycle_literal.cc"); }
 TEST(DbplintFixture, SuppressionSemantics)
 {
     checkFixture("suppress.cc");
+}
+
+// validate-coverage also reads the refresh engine's timing().tXXX.
+TEST(DbplintFixture, ValidateCoverage)
+{
+    Corpus corpus;
+    corpus.files.push_back(
+        {"src/dram/timing.cc",
+         R"(void DramTiming::validate() const { check(tREFI); })"});
+    checkFixture("validate_coverage.cc", "src/dram/refresh.cc", corpus);
 }
 
 // The sanctioned homes are exempt: the same banned content under

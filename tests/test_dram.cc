@@ -261,17 +261,6 @@ TEST(Channel, RefreshRequiresAllBanksClosed)
     EXPECT_TRUE(ch.canIssue(DramCmd::Activate, 0, 0, 1, ready + t.tRFC));
 }
 
-TEST(Channel, RefreshPendingTracksDeadline)
-{
-    DramTiming t = ddr3_1600();
-    DramChannel ch = freshChannel(t);
-    // Rank deadlines are staggered; rank 1 of 2 is due at tREFI.
-    EXPECT_FALSE(ch.refreshPending(1, 0));
-    EXPECT_TRUE(ch.refreshPending(1, t.tREFI));
-    ch.issue(DramCmd::Refresh, 1, 0, 0, t.tREFI);
-    EXPECT_FALSE(ch.refreshPending(1, t.tREFI + 1));
-}
-
 TEST(Channel, RefreshBankBlocksOnlyTargetBank)
 {
     DramTiming t = ddr3_1600();

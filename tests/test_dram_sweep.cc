@@ -31,6 +31,17 @@ geo()
     return g;
 }
 
+/** Each rank's first all-bank deadline, staggered as RefreshEngine
+ *  staggers them: rank r of R at tREFI * (r + 1) / R. */
+std::vector<Cycle>
+staggeredRankDeadlines(const DramGeometry &g, const DramTiming &tm)
+{
+    std::vector<Cycle> due(g.ranksPerChannel);
+    for (unsigned r = 0; r < g.ranksPerChannel; ++r)
+        due[r] = tm.tREFI * (r + 1) / g.ranksPerChannel;
+    return due;
+}
+
 class TimingSweep : public ::testing::TestWithParam<std::string>
 {
   protected:
@@ -116,14 +127,16 @@ TEST(ChannelFuzz, LegalCommandsNeverOverlapDataBus)
 
     std::vector<std::pair<Cycle, Cycle>> bursts; // [start, end)
     Cycle issued_cmds = 0;
+    std::vector<Cycle> ref_due = staggeredRankDeadlines(g, tm);
 
     for (Cycle now = 0; now < 20000; ++now) {
         // Refresh duty first, as a controller would.
         bool used = false;
         for (unsigned r = 0; r < g.ranksPerChannel && !used; ++r) {
-            if (ch.refreshPending(r, now) &&
+            if (now >= ref_due[r] &&
                 ch.canIssue(DramCmd::Refresh, r, 0, 0, now)) {
                 ch.issue(DramCmd::Refresh, r, 0, 0, now);
+                ref_due[r] += tm.tREFI;
                 used = true;
             }
         }
@@ -185,12 +198,15 @@ TEST(ChannelFuzz, ActivateSpacingHonorsTrc)
     std::vector<Cycle> last_act(
         static_cast<std::size_t>(g.ranksPerChannel) * g.banksPerRank,
         kNeverCycle);
+    std::vector<Cycle> ref_due = staggeredRankDeadlines(g, tm);
 
     for (Cycle now = 0; now < 30000; ++now) {
         for (unsigned r = 0; r < g.ranksPerChannel; ++r) {
-            if (ch.refreshPending(r, now) &&
-                ch.canIssue(DramCmd::Refresh, r, 0, 0, now))
+            if (now >= ref_due[r] &&
+                ch.canIssue(DramCmd::Refresh, r, 0, 0, now)) {
                 ch.issue(DramCmd::Refresh, r, 0, 0, now);
+                ref_due[r] += tm.tREFI;
+            }
         }
         auto r = static_cast<unsigned>(rng.nextBelow(g.ranksPerChannel));
         auto b = static_cast<unsigned>(rng.nextBelow(g.banksPerRank));

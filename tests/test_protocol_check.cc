@@ -730,13 +730,20 @@ TEST_P(ChannelObserverFuzz, RandomLegalStreamIsViolationFree)
     Rng rng(99);
     const std::uint64_t kinds = mode == SalpMode::Masa ? 7 : 6;
 
+    // Each rank's all-bank deadline, staggered as RefreshEngine
+    // staggers them.
+    std::vector<Cycle> ref_due(g.ranksPerChannel);
+    for (unsigned r = 0; r < g.ranksPerChannel; ++r)
+        ref_due[r] = tm.tREFI * (r + 1) / g.ranksPerChannel;
+
     Cycle last = 0;
     for (Cycle now = 0; now < 40000; ++now) {
         bool used = false;
         for (unsigned r = 0; r < g.ranksPerChannel && !used; ++r) {
-            if (ch.refreshPending(r, now) &&
+            if (now >= ref_due[r] &&
                 ch.canIssue(DramCmd::Refresh, r, 0, 0, now)) {
                 ch.issue(DramCmd::Refresh, r, 0, 0, now);
+                ref_due[r] += tm.tREFI;
                 used = true;
             }
         }
@@ -847,11 +854,12 @@ TEST(ProtocolCheckSystem, PaperSchemesRunViolationFree)
 
 TEST(ProtocolCheckExperiment, AllStandardSchemesPassFailFast)
 {
-    // Two legs: the default all-bank engine and the refresh-aware
-    // per-bank (DARP-style) engine, so every scheme runs fail-fast
-    // clean under both refresh granularities.
+    // Three legs: the default all-bank engine and the refresh-aware
+    // all-bank and per-bank (DARP-style) engines, so every scheme runs
+    // fail-fast clean under both refresh granularities.
     struct Leg { RefreshMode mode; bool aware; };
     for (Leg leg : {Leg{RefreshMode::AllBank, false},
+                    Leg{RefreshMode::AllBank, true},
                     Leg{RefreshMode::PerBank, true}}) {
         RunConfig rc;
         rc.base.geometry.rowsPerBank = 4096;
@@ -869,7 +877,8 @@ TEST(ProtocolCheckExperiment, AllStandardSchemesPassFailFast)
         for (const Scheme &s : standardSchemes()) {
             MixResult r = runMixJob(rc, mix, s, baselines);
             EXPECT_GT(r.metrics.weightedSpeedup, 0.0)
-                << s.name << " refresh=" << refreshModeName(leg.mode);
+                << s.name << " refresh=" << refreshModeName(leg.mode)
+                << (leg.aware ? "+aware" : "");
         }
     }
 }

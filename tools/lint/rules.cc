@@ -426,28 +426,14 @@ Linter::ruleCycleLiteral(const ScannedFile &sf)
     }
 }
 
-// timing/validate-coverage: fields the channel enforces must be
-// sanity-checked by DramTiming::validate().
+// timing/validate-coverage: fields the channel and the refresh engine
+// enforce must be sanity-checked by DramTiming::validate().
 void
 Linter::ruleValidateCoverage()
 {
-    const ScannedFile *channel = fileByPath("src/dram/channel.cc");
     const ScannedFile *timing = fileByPath("src/dram/timing.cc");
-    if (channel == nullptr || timing == nullptr)
+    if (timing == nullptr)
         return;
-
-    // Fields referenced as timing_.tXXX / timing.tXXX in channel.cc.
-    std::map<std::string, unsigned> refs; // field -> first line.
-    const auto &ct = channel->ts.tokens;
-    for (std::size_t i = 0; i + 2 < ct.size(); ++i) {
-        if (ct[i].kind == TokKind::Ident &&
-            (ct[i].text == "timing_" || ct[i].text == "timing") &&
-            ct[i + 1].kind == TokKind::Punct && ct[i + 1].text == "." &&
-            ct[i + 2].kind == TokKind::Ident &&
-            isTimingFieldName(ct[i + 2].text)) {
-            refs.emplace(ct[i + 2].text, ct[i + 2].line);
-        }
-    }
 
     // Identifiers inside DramTiming::validate()'s body.
     std::set<std::string> body;
@@ -478,14 +464,38 @@ Linter::ruleValidateCoverage()
         break;
     }
 
-    for (const auto &[field, line] : refs) {
-        if (body.count(field) != 0)
+    auto punct = [](const Token &t, const char *text) {
+        return t.kind == TokKind::Punct && t.text == text;
+    };
+    for (const char *path : {"src/dram/channel.cc", "src/dram/refresh.cc"}) {
+        const ScannedFile *user = fileByPath(path);
+        if (user == nullptr)
             continue;
-        raw_.push_back(
-            {channel->src->path, line, "validate-coverage",
-             "DramTiming::" + field + " is enforced by channel.cc but "
-             "never appears in DramTiming::validate() — add a sanity "
-             "relation so a mis-set preset fails fast"});
+        // Fields read as timing_.tXXX, timing.tXXX or timing().tXXX.
+        std::map<std::string, unsigned> refs; // field -> first line.
+        const auto &ut = user->ts.tokens;
+        for (std::size_t i = 0; i < ut.size(); ++i) {
+            if (ut[i].kind != TokKind::Ident ||
+                (ut[i].text != "timing_" && ut[i].text != "timing"))
+                continue;
+            std::size_t dot = i + 1;
+            if (ut[i].text == "timing" && dot + 1 < ut.size() &&
+                punct(ut[dot], "(") && punct(ut[dot + 1], ")"))
+                dot += 2;
+            if (dot + 1 < ut.size() && punct(ut[dot], ".") &&
+                ut[dot + 1].kind == TokKind::Ident &&
+                isTimingFieldName(ut[dot + 1].text))
+                refs.emplace(ut[dot + 1].text, ut[dot + 1].line);
+        }
+        for (const auto &[field, line] : refs) {
+            if (body.count(field) != 0)
+                continue;
+            raw_.push_back(
+                {path, line, "validate-coverage",
+                 "DramTiming::" + field + " is enforced by " + path +
+                 " but never appears in DramTiming::validate() — add a "
+                 "sanity relation so a mis-set preset fails fast"});
+        }
     }
 }
 

@@ -28,8 +28,8 @@
  *        Bare integer cycle literals outside the src/dram/timing.*
  *        presets (unit mistakes hide in anonymous integers).
  *    validate-coverage
- *        Every DramTiming field the channel enforces must be
- *        sanity-checked by DramTiming::validate().
+ *        Every DramTiming field the channel or the refresh engine
+ *        enforces must be sanity-checked by DramTiming::validate().
  *
  *  consistency/
  *    config-key-doc    every parsed config key documented in README.
