@@ -227,10 +227,6 @@ paramTable()
         PARAM("salp", Hardware, base.controller.salp),
         PARAM("tsa", Hardware, base.tsaOverride),
         PARAM("subarray_color", Hardware, base.subarrayColoring),
-        PARAM("cache", Hardware, base.cacheEnabled),
-        PARAM("cache_size", Hardware, base.cache.sizeBytes),
-        PARAM("cache_assoc", Hardware, base.cache.associativity),
-        PARAM("cache_hit_latency", Hardware, base.cache.hitLatency),
         PARAM("sched", Policy, base.scheduler),
         PARAM("part", Policy, base.partition),
         PARAM("tcm_cluster_thresh", Policy, base.sched.tcmClusterThresh),

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hh"
 #include "common/config.hh"
 #include "core/core.hh"
 #include "dram/addr_map.hh"
@@ -99,11 +98,9 @@ struct SystemParams
     // dbplint:allow(cycle-literal) reason=evaluation default, the paper interval scaled to the shortened run window; overridden by config key interval (fig11 sweeps it)
     Cycle profileIntervalCpu = 500'000;
 
-    /** Private per-core cache in front of the memory system. */
-    bool cacheEnabled = false;
-
-    /** Private cache configuration (when enabled). */
-    CacheParams cache;
+    /** There is no private cache: cores reach the controllers
+     *  directly. Read only by hostbench/traced_system.cc. */
+    static constexpr bool cacheEnabled = false;
 
     /**
      * Run the DRAM protocol checker alongside the simulation

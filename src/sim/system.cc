@@ -69,13 +69,6 @@ System::System(const SystemParams &params,
         raw_controllers, map_, params_.partMgr);
     partMgr_->start();
 
-    if (params_.cacheEnabled) {
-        CacheParams cp = params_.cache;
-        cp.lineBytes = params_.geometry.lineBytes;
-        for (unsigned c = 0; c < params_.numCores; ++c)
-            caches_.push_back(std::make_unique<SetAssocCache>(cp));
-    }
-
     for (unsigned c = 0; c < params_.numCores; ++c) {
         cores_.push_back(std::make_unique<TraceCore>(
             static_cast<ThreadId>(c), params_.core, sources[c], this));
@@ -90,28 +83,6 @@ System::issueLoad(ThreadId tid, Addr vaddr, MemClient *client,
                   std::uint64_t tag)
 {
     Addr paddr = os_->translate(tid, vaddr);
-
-    if (params_.cacheEnabled) {
-        SetAssocCache &cache = *caches_.at(static_cast<unsigned>(tid));
-        if (cache.contains(paddr)) {
-            cache.access(paddr, false);
-            pendingHits_.push_back(PendingHit{
-                cpuCycle_ + cache.params().hitLatency, client, tag});
-            return true;
-        }
-        // Miss: reserve the controller slot first so a rejected
-        // enqueue leaves the cache untouched.
-        DramCoord coord = map_.decode(paddr);
-        MemoryController &mc = *controllers_.at(coord.channel);
-        if (!mc.enqueueRead(paddr, tid, client, tag, memCycle_))
-            return false;
-        CacheAccessResult res = cache.access(paddr, false);
-        if (res.writeback)
-            pendingWritebacks_.push_back(
-                PendingWriteback{tid, res.writebackAddr});
-        return true;
-    }
-
     DramCoord coord = map_.decode(paddr);
     MemoryController &mc = *controllers_.at(coord.channel);
     return mc.enqueueRead(paddr, tid, client, tag, memCycle_);
@@ -121,16 +92,6 @@ bool
 System::issueStore(ThreadId tid, Addr vaddr)
 {
     Addr paddr = os_->translate(tid, vaddr);
-
-    if (params_.cacheEnabled) {
-        SetAssocCache &cache = *caches_.at(static_cast<unsigned>(tid));
-        CacheAccessResult res = cache.access(paddr, true);
-        if (res.writeback)
-            pendingWritebacks_.push_back(
-                PendingWriteback{tid, res.writebackAddr});
-        return true; // stores absorbed by the write-back cache.
-    }
-
     DramCoord coord = map_.decode(paddr);
     MemoryController &mc = *controllers_.at(coord.channel);
     return mc.enqueueWrite(paddr, tid, memCycle_);
@@ -156,24 +117,6 @@ System::intervalBoundary()
 void
 System::tickCpu()
 {
-    // Deliver due cache hits.
-    while (!pendingHits_.empty() &&
-           pendingHits_.front().dueCpu <= cpuCycle_) {
-        PendingHit h = pendingHits_.front();
-        pendingHits_.pop_front();
-        if (h.client)
-            h.client->readComplete(h.tag);
-    }
-
-    // Retry pending writebacks (one attempt per cycle).
-    if (!pendingWritebacks_.empty()) {
-        const PendingWriteback &wb = pendingWritebacks_.front();
-        DramCoord coord = map_.decode(wb.paddr);
-        if (controllers_.at(coord.channel)
-                ->enqueueWrite(wb.paddr, wb.tid, memCycle_))
-            pendingWritebacks_.pop_front();
-    }
-
     for (auto &core : cores_)
         core->tick();
 

@@ -3,8 +3,8 @@
  * End-to-end system tests: determinism, forward progress for every
  * (scheduler x partition) combination, partition enforcement through
  * the whole stack, the headline interference properties (UBP isolates
- * a victim's row locality; DBP grants banks by demand), cache-enabled
- * operation, and parameter plumbing.
+ * a victim's row locality; DBP grants banks by demand), and parameter
+ * plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -271,37 +271,6 @@ TEST(System, LightThreadsShareUnderDbp)
     EXPECT_EQ(sys.osMemory().colorSet(1), sys.osMemory().colorSet(2));
     EXPECT_LT(sys.osMemory().colorSet(1).size(),
               sys.osMemory().colorSet(0).size());
-}
-
-TEST(System, CacheEnabledSystemRuns)
-{
-    Pair p;
-    SystemParams params = smallParams(2);
-    params.cacheEnabled = true;
-    params.cache.sizeBytes = 64 * 1024;
-    System sys(params, p.raw);
-    auto ipc = sys.runAndMeasure(100'000, 300'000);
-    for (double v : ipc)
-        EXPECT_GT(v, 0.0);
-}
-
-TEST(System, CacheReducesDramTraffic)
-{
-    auto traffic = [](bool cached) {
-        // Small footprint: highly cacheable.
-        auto s = makeSource("tiny", 30, 2, 16, 0.1, 64, 9);
-        std::vector<TraceSource *> raw{s.get()};
-        SystemParams params = smallParams(1);
-        params.cacheEnabled = cached;
-        params.cache.sizeBytes = 512 * 1024;
-        System sys(params, raw);
-        sys.run(400'000);
-        std::uint64_t reads = 0;
-        for (unsigned c = 0; c < sys.numControllers(); ++c)
-            reads += sys.controllerAt(c).statReadsEnqueued.value();
-        return reads;
-    };
-    EXPECT_LT(traffic(true), traffic(false) / 4);
 }
 
 TEST(System, WritesReachDram)
