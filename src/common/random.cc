@@ -66,14 +66,6 @@ Rng::nextBelow(std::uint64_t bound)
     }
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    DBP_ASSERT(lo <= hi, "nextRange: lo > hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBelow(span));
-}
-
 double
 Rng::nextDouble()
 {

@@ -31,9 +31,6 @@ class Rng
     /** Uniform integer in [0, bound) ; bound must be > 0. */
     std::uint64_t nextBelow(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 

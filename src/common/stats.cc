@@ -42,46 +42,15 @@ StatHistogram::reset()
 void
 StatGroup::addScalar(const std::string &name, const StatScalar *s)
 {
-    Entry e;
-    e.name = name;
-    e.scalar = s;
-    entries_.push_back(e);
-}
-
-void
-StatGroup::addAverage(const std::string &name, const StatAverage *s)
-{
-    Entry e;
-    e.name = name;
-    e.average = s;
-    entries_.push_back(e);
-}
-
-void
-StatGroup::addDerived(const std::string &name, double (*fn)(const void *),
-                      const void *ctx)
-{
-    Entry e;
-    e.name = name;
-    e.derived = fn;
-    e.ctx = ctx;
-    entries_.push_back(e);
+    entries_.push_back(Entry{name, s});
 }
 
 void
 StatGroup::dump(std::ostream &os) const
 {
-    for (const auto &e : entries_) {
-        os << name_ << '.' << std::left << std::setw(32) << e.name << ' ';
-        if (e.scalar) {
-            os << e.scalar->value();
-        } else if (e.average) {
-            os << std::fixed << std::setprecision(4) << e.average->mean();
-        } else if (e.derived) {
-            os << std::fixed << std::setprecision(4) << e.derived(e.ctx);
-        }
-        os << '\n';
-    }
+    for (const auto &e : entries_)
+        os << name_ << '.' << std::left << std::setw(32) << e.name << ' '
+           << e.scalar->value() << '\n';
 }
 
 } // namespace dbpsim

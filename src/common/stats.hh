@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics primitives, loosely modelled on gem5's stats
- * package: scalar counters, averages, and histograms, grouped into
+ * package: scalar counters and histograms; scalars are grouped into
  * named StatGroups that can be dumped as text.
  */
 
@@ -34,48 +34,6 @@ class StatScalar
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/**
- * Running mean of a stream of samples.
- */
-class StatAverage
-{
-  public:
-    StatAverage() = default;
-
-    /** Add one sample. */
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    /** Number of samples. */
-    std::uint64_t count() const { return count_; }
-
-    /** Sum of samples. */
-    double sum() const { return sum_; }
-
-    /** Mean, or 0 when empty. */
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-    }
-
-    /** Reset. */
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
 };
 
 /**
@@ -140,13 +98,6 @@ class StatGroup
     /** Register a scalar for dumping. Pointers must outlive the group. */
     void addScalar(const std::string &name, const StatScalar *s);
 
-    /** Register an average for dumping. */
-    void addAverage(const std::string &name, const StatAverage *s);
-
-    /** Register a derived value computed at dump time. */
-    void addDerived(const std::string &name, double (*fn)(const void *),
-                    const void *ctx);
-
     /** Write "group.stat value" lines to @p os. */
     void dump(std::ostream &os) const;
 
@@ -157,10 +108,7 @@ class StatGroup
     struct Entry
     {
         std::string name;
-        const StatScalar *scalar = nullptr;
-        const StatAverage *average = nullptr;
-        double (*derived)(const void *) = nullptr;
-        const void *ctx = nullptr;
+        const StatScalar *scalar;
     };
 
     std::string name_;

@@ -100,17 +100,4 @@ TextTable::print(std::ostream &os) const
         emit_row(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << (c == 0 ? "" : ",") << row[c];
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-}
-
 } // namespace dbpsim

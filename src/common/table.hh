@@ -1,10 +1,9 @@
 /**
  * @file
- * ASCII / CSV table rendering for the benchmark harnesses.
+ * ASCII table rendering for the benchmark harnesses.
  *
  * Every figure/table bench emits one of these so the output looks like
- * the rows/series of the corresponding plot in the paper and can also
- * be piped into a plotting script as CSV.
+ * the rows/series of the corresponding plot in the paper.
  */
 
 #ifndef DBPSIM_COMMON_TABLE_HH
@@ -40,14 +39,8 @@ class TextTable
     void cell(int v) { cell(static_cast<std::int64_t>(v)); }
     void cell(unsigned v) { cell(static_cast<std::uint64_t>(v)); }
 
-    /** Number of completed + current rows. */
-    std::size_t rowCount() const { return rows_.size(); }
-
     /** Render aligned ASCII with a separator under the header. */
     void print(std::ostream &os) const;
-
-    /** Render comma-separated values (header first). */
-    void printCsv(std::ostream &os) const;
 
   private:
     std::vector<std::string> headers_;

@@ -130,17 +130,11 @@ class MemoryController : public QueueView, public RefreshDemandView
     /** Queued writes. */
     std::size_t writeQueueDepth() const { return writeQ_.size(); }
 
-    /** Reads issued to DRAM and awaiting data. */
-    std::size_t inflightReads() const { return inflight_.size(); }
-
     /** True while draining writes. */
     bool inWriteMode() const { return writeMode_; }
 
     /** The DRAM channel (tests, energy reporting). */
     const DramChannel &channel() const { return channel_; }
-
-    /** The refresh engine (tests, stats). */
-    const RefreshEngine &refreshEngine() const { return refresh_; }
 
     /**
      * Attach a command observer (protocol checker) to this

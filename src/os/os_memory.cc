@@ -79,9 +79,9 @@ OsMemory::translate(ThreadId tid, Addr vaddr)
         tables_[t].map(vpage, frame);
         notifyFrame(tid, frame);
     } else if (lazyEnabled_[t] && nonconformingCount_[t] > 0 &&
-               ++lazyTokens_[t] >= lazyPeriod_) {
+               ++lazyTokens_[t] >= kLazyPeriod) {
         // Lazy migrate-on-touch: a re-accessed page outside the color
-        // set is remapped into it, at most once per lazyPeriod_
+        // set is remapped into it, at most once per kLazyPeriod
         // translations (bounds copy traffic under random access).
         unsigned color = map_.colorOfFrame(frame);
         const auto &set = colorSets_[t];
@@ -120,13 +120,6 @@ OsMemory::drainLazyMoves()
     std::vector<std::pair<unsigned, unsigned>> out;
     out.swap(pendingMoves_);
     return out;
-}
-
-void
-OsMemory::setLazyPeriod(std::uint32_t period)
-{
-    DBP_ASSERT(period > 0, "lazy period must be >= 1");
-    lazyPeriod_ = period;
 }
 
 void

@@ -68,19 +68,19 @@ class OsMemory
      */
     MigrationResult migrate(ThreadId tid, std::uint64_t max_pages);
 
+    /** Translations of one thread between two lazy moves. */
+    static constexpr std::uint32_t kLazyPeriod = 8;
+
     /**
      * Enable/disable lazy migrate-on-touch for @p tid: whenever the
      * thread accesses a page outside its color set (rate limited to
-     * one move per @p lazyPeriod translations), the page is remapped
+     * one move per kLazyPeriod translations), the page is remapped
      * into the set and the move is queued for cost accounting.
      */
     void setLazyMigration(ThreadId tid, bool enabled);
 
     /** Moves performed lazily since the last drain (src, dst colors). */
     std::vector<std::pair<unsigned, unsigned>> drainLazyMoves();
-
-    /** Translations between lazy moves (rate limit; default 8). */
-    void setLazyPeriod(std::uint32_t period);
 
     /** Pages currently mapped for a thread. */
     std::size_t mappedPages(ThreadId tid) const;
@@ -143,7 +143,6 @@ class OsMemory
     std::vector<bool> lazyEnabled_;
     std::vector<std::uint64_t> nonconformingCount_;
     std::vector<std::uint32_t> lazyTokens_;
-    std::uint32_t lazyPeriod_ = 8;
     std::vector<std::pair<unsigned, unsigned>> pendingMoves_;
     /// @}
 };

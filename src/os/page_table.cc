@@ -35,13 +35,6 @@ PageTable::remap(std::uint64_t vpage, std::uint64_t frame)
 }
 
 void
-PageTable::unmap(std::uint64_t vpage)
-{
-    std::size_t erased = table_.erase(vpage);
-    DBP_ASSERT(erased == 1, "unmap of unmapped vpage " << vpage);
-}
-
-void
 PageTable::forEach(
     const std::function<void(std::uint64_t, std::uint64_t)> &fn) const
 {

@@ -32,9 +32,6 @@ class PageTable
     /** Replace an existing mapping (page migration). */
     void remap(std::uint64_t vpage, std::uint64_t frame);
 
-    /** Remove a mapping; @p vpage must be mapped. */
-    void unmap(std::uint64_t vpage);
-
     /** Number of mapped pages. */
     std::size_t size() const { return table_.size(); }
 

@@ -497,7 +497,6 @@ TEST_F(ManagerFixture, LazyMigrationMovesOnTouch)
     // Default mode: pages move only when re-touched, rate limited.
     PartitionManager mgr = makeManager("dbp");
     mgr.start();
-    os_->setLazyPeriod(1);
     for (int i = 0; i < 64; ++i)
         os_->translate(1, static_cast<Addr>(i) * 4096);
     std::vector<ThreadMemProfile> profiles = {
@@ -509,9 +508,11 @@ TEST_F(ManagerFixture, LazyMigrationMovesOnTouch)
     EXPECT_GT(before, 0u);
     EXPECT_TRUE(os_->drainLazyMoves().empty());
 
-    // Re-touching pages migrates them one by one.
-    for (int i = 0; i < 64; ++i)
-        os_->translate(1, static_cast<Addr>(i) * 4096);
+    // Re-touching pages migrates them one by one, at most one move
+    // per kLazyPeriod translations.
+    for (unsigned pass = 0; pass < OsMemory::kLazyPeriod; ++pass)
+        for (int i = 0; i < 64; ++i)
+            os_->translate(1, static_cast<Addr>(i) * 4096);
     auto moves = os_->drainLazyMoves();
     EXPECT_EQ(moves.size(), before);
     EXPECT_EQ(os_->nonconformingPages(1), 0u);
@@ -532,15 +533,14 @@ TEST_F(ManagerFixture, LazyRateLimitHonored)
 {
     PartitionManager mgr = makeManager("dbp");
     mgr.start();
-    os_->setLazyPeriod(16);
     for (int i = 0; i < 64; ++i)
         os_->translate(1, static_cast<Addr>(i) * 4096);
     std::vector<ThreadMemProfile> profiles = {
         profile(20, 0.2, 8.0), profile(20, 0.95, 1.0)};
     mgr.onInterval(profiles, 1000);
 
-    // 64 touches at period 16 allow at most 4 moves.
-    for (int i = 0; i < 64; ++i)
+    // Four periods of touches (32) allow at most 4 moves.
+    for (unsigned i = 0; i < 4 * OsMemory::kLazyPeriod; ++i)
         os_->translate(1, static_cast<Addr>(i) * 4096);
     auto moves = os_->drainLazyMoves();
     EXPECT_LE(moves.size(), 4u);
