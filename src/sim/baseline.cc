@@ -2,7 +2,10 @@
 
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -112,19 +115,48 @@ profileToJson(const ThreadMemProfile &p)
     return j;
 }
 
-ThreadMemProfile
-profileFromJson(const Json &j)
+/** Read number member @p key of @p j into @p out; false when @p j is
+ *  not an object or the member is absent or not a number. */
+bool
+readNumber(const Json &j, const char *key, double &out)
 {
-    ThreadMemProfile p;
-    p.mpki = j.at("mpki").asDouble();
-    p.rowBufferHitRate = j.at("row_hit_rate").asDouble();
-    p.blp = j.at("blp").asDouble();
-    p.mlp = j.at("mlp").asDouble();
-    p.rowParallelism = j.at("row_parallelism").asDouble();
-    p.requests = j.at("requests").asUInt();
-    p.instructions = j.at("instructions").asUInt();
-    p.footprintPages = j.at("footprint_pages").asUInt();
-    return p;
+    const Json *v = j.find(key);
+    if (!v || v->type() != Json::Type::Number)
+        return false;
+    out = v->asDouble();
+    return true;
+}
+
+/** readNumber() for a count: also false outside [0, 2^64). */
+bool
+readCount(const Json &j, const char *key, std::uint64_t &out)
+{
+    double v = 0.0;
+    if (!readNumber(j, key, v) || !(v >= 0.0 && v < 0x1p64))
+        return false;
+    out = static_cast<std::uint64_t>(v);
+    return true;
+}
+
+/** One cache entry, or nothing when any member is missing or of the
+ *  wrong type. Never fatal(): the file comes from outside. */
+std::optional<AloneBaseline>
+baselineFromJson(const Json &j)
+{
+    AloneBaseline b;
+    ThreadMemProfile &p = b.profile;
+    const Json *profile = j.find("profile");
+    if (!profile || !readNumber(j, "ipc", b.ipc) ||
+        !readNumber(*profile, "mpki", p.mpki) ||
+        !readNumber(*profile, "row_hit_rate", p.rowBufferHitRate) ||
+        !readNumber(*profile, "blp", p.blp) ||
+        !readNumber(*profile, "mlp", p.mlp) ||
+        !readNumber(*profile, "row_parallelism", p.rowParallelism) ||
+        !readCount(*profile, "requests", p.requests) ||
+        !readCount(*profile, "instructions", p.instructions) ||
+        !readCount(*profile, "footprint_pages", p.footprintPages))
+        return std::nullopt;
+    return b;
 }
 
 // v2: keys hash the parameter table's hardware and run rows; v1 keys
@@ -183,21 +215,38 @@ AloneBaselineCache::load(const std::string &path)
         return false;
     }
     const Json *format = root.find("format");
-    if (!format || format->asString() != kCacheFormat) {
+    if (!format || format->type() != Json::Type::String ||
+        format->asString() != kCacheFormat) {
         warn("alone cache ", path, " has unknown format; ignoring");
         return false;
     }
+    const Json *entries = root.find("entries");
+    if (!entries || entries->type() != Json::Type::Object) {
+        warn("alone cache ", path, " has no entries object; ignoring");
+        return false;
+    }
+
+    // Check every entry before merging any, so a bad file adds nothing.
+    std::vector<std::pair<std::string, AloneBaseline>> parsed;
+    for (const auto &m : entries->members()) {
+        std::optional<AloneBaseline> b = baselineFromJson(m.second);
+        if (!b) {
+            warn("alone cache ", path, " entry '", m.first,
+                 "' is malformed; ignoring the file");
+            return false;
+        }
+        parsed.emplace_back(m.first, *b);
+    }
 
     std::size_t merged = 0;
-    for (const auto &m : root.at("entries").members()) {
-        AloneBaseline b;
-        b.ipc = m.second.at("ipc").asDouble();
-        b.profile = profileFromJson(m.second.at("profile"));
-        std::promise<AloneBaseline> p;
-        p.set_value(b);
+    {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (entries_.emplace(m.first, p.get_future().share()).second)
-            ++merged;
+        for (const auto &[key, b] : parsed) {
+            std::promise<AloneBaseline> p;
+            p.set_value(b);
+            if (entries_.emplace(key, p.get_future().share()).second)
+                ++merged;
+        }
     }
     inform("alone cache: loaded ", merged, " baseline(s) from ", path);
     return true;

@@ -194,15 +194,41 @@ TEST(CampaignBaselines, LoadIgnoresGarbageFiles)
 {
     const std::string path =
         testing::TempDir() + "dbpsim_alone_cache_garbage.json";
-    {
+    auto write = [&path](const std::string &text) {
         std::FILE *f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);
-        std::fputs("not json at all", f);
+        std::fputs(text.c_str(), f);
         std::fclose(f);
+    };
+    // An entry up to its last member, the request count.
+    const std::string entry =
+        R"({"ipc":1.0,"profile":{"mpki":1.0,"row_hit_rate":0.5,)"
+        R"("blp":1.0,"mlp":1.0,"row_parallelism":1.0,)"
+        R"("instructions":1000,"footprint_pages":4,"requests":)";
+    const std::string files[] = {
+        "not json at all",
+        R"({"format":"dbpsim-alone-cache-v2",)"
+        R"("entries":{"mcf@123":{"ipc":1.0}}})",
+        R"({"format":2,"entries":{}})",
+        R"({"format":"dbpsim-alone-cache-v2"})",
+        // A valid first entry must not be merged when a later one is
+        // bad (here a negative count).
+        R"({"format":"dbpsim-alone-cache-v2","entries":{"mcf@1":)" +
+            entry + R"(10}},"gcc@2":)" + entry + "-1}}}}",
+    };
+    for (const std::string &text : files) {
+        write(text);
+        AloneBaselineCache cache;
+        EXPECT_FALSE(cache.load(path)) << text;
+        EXPECT_EQ(cache.size(), 0u) << text;
     }
+
+    // The valid entry alone loads.
+    write(R"({"format":"dbpsim-alone-cache-v2","entries":{"mcf@1":)" +
+          entry + "10}}}}");
     AloneBaselineCache cache;
-    EXPECT_FALSE(cache.load(path));
-    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_TRUE(cache.load(path));
+    EXPECT_EQ(cache.size(), 1u);
     std::remove(path.c_str());
 }
 
