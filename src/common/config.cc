@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -29,6 +30,9 @@ parseIntString(const std::string &text, const std::string &what)
     std::int64_t v = std::strtoll(body.c_str(), &end, 0);
     if (errno != 0 || end == body.c_str() || *end != '\0')
         fatal("malformed integer '", text, "' for ", what);
+    if (v > std::numeric_limits<std::int64_t>::max() / mult ||
+        v < std::numeric_limits<std::int64_t>::min() / mult)
+        fatal("value '", text, "' for ", what, " is out of range");
     return v * mult;
 }
 

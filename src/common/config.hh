@@ -66,7 +66,8 @@ class Config
 
 /**
  * Parse an integer with optional 0x prefix or k/m/g (binary) suffix.
- * fatal()s on malformed input, mentioning @p what.
+ * fatal()s on malformed input and on a suffixed value outside the
+ * int64 range, mentioning @p what.
  */
 std::int64_t parseIntString(const std::string &text, const std::string &what);
 
