@@ -18,6 +18,11 @@
 #      (skipped with a note when clang-tidy is not installed).
 #   6. cppcheck over the same file set (skipped with a note when
 #      cppcheck is not installed).
+#   7. hostbench/ configured into build-hostbench/ (Release, as
+#      hostbench/run.py does), its benchmark and test binaries built
+#      and its tests run: the benchmark re-assembles System from the
+#      components' public constructors, so a src/ change can break its
+#      build while the simulator's own suite still passes.
 #
 # Usage: scripts/check.sh [--full] [base-ref]
 #   --full     Lint every translation unit in compile_commands.json
@@ -131,6 +136,12 @@ else
         --suppress=missingIncludeSystem -I src -I . \
         "${existing[@]}"
 fi
+
+# ---------------------------------------------------------------- 7 --
+step "hostbench build + tests"
+cmake -S hostbench -B build-hostbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-hostbench -j "$jobs" --target hostbench hostbench_tests
+./build-hostbench/hostbench_tests
 
 echo
 echo "all checks passed."
