@@ -34,7 +34,7 @@ geo()
 void
 BM_AddrDecode(benchmark::State &state)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     Addr a = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(map.decode(a));
@@ -46,7 +46,7 @@ BENCHMARK(BM_AddrDecode);
 void
 BM_AddrRoundTrip(benchmark::State &state)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     Addr a = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(map.encode(map.decode(a)));
@@ -92,7 +92,7 @@ BENCHMARK(BM_SchedulerComparator);
 void
 BM_FrameAllocate(benchmark::State &state)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     auto alloc = std::make_unique<FrameAllocator>(map);
     std::vector<unsigned> colors = {0, 5, 9, 13};
     std::size_t cursor = 0;

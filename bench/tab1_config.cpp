@@ -60,8 +60,8 @@ render(CampaignRun &run, std::ostream &os)
         std::to_string(p.controller.writeHiWatermark) + "/" +
         std::to_string(p.controller.writeLoWatermark) +
         ", open-page");
-    row("address map", mapSchemeName(p.scheme) +
-        " interleave (frame-homogeneous banks; page coloring)");
+    row("address map",
+        "page interleave (frame-homogeneous banks; page coloring)");
     row("profiling interval",
         std::to_string(p.profileIntervalCpu) + " CPU cycles");
     row("dbp", "lightMpki " + formatDouble(p.dbp.lightMpki, 1) +

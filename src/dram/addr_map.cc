@@ -39,34 +39,8 @@ DramGeometry::validate() const
     return std::string();
 }
 
-MapScheme
-mapSchemeByName(const std::string &name)
-{
-    if (name == "page")
-        return MapScheme::PageInterleave;
-    if (name == "row")
-        return MapScheme::RowInterleave;
-    if (name == "line")
-        return MapScheme::LineInterleave;
-    fatal("unknown address-mapping scheme '", name,
-          "' (expected page|row|line)");
-}
-
-std::string
-mapSchemeName(MapScheme scheme)
-{
-    switch (scheme) {
-      case MapScheme::PageInterleave: return "page";
-      case MapScheme::RowInterleave: return "row";
-      case MapScheme::LineInterleave: return "line";
-    }
-    DBP_PANIC("unreachable map scheme");
-}
-
-AddressMap::AddressMap(const DramGeometry &geom, MapScheme scheme,
-                       bool bank_xor, bool color_subarrays)
-    : geom_(geom), scheme_(scheme), bankXor_(bank_xor),
-      colorSubarrays_(color_subarrays)
+AddressMap::AddressMap(const DramGeometry &geom, bool color_subarrays)
+    : geom_(geom), colorSubarrays_(color_subarrays)
 {
     std::string err = geom.validate();
     if (!err.empty())
@@ -76,11 +50,17 @@ AddressMap::AddressMap(const DramGeometry &geom, MapScheme scheme,
     rankBits_ = floorLog2(geom.ranksPerChannel);
     bankBits_ = floorLog2(geom.banksPerRank);
     rowBits_ = floorLog2(geom.rowsPerBank);
-    colBits_ = floorLog2(geom.colsPerRow());
     lineBits_ = floorLog2(geom.lineBytes);
     pageLineBits_ = floorLog2(geom.pageBytes / geom.lineBytes);
     slotBits_ = floorLog2(geom.rowBytes / geom.pageBytes);
     subBits_ = floorLog2(geom.subarraysPerBank);
+}
+
+AddressMap::AddressMap(const DramGeometry &geom, MapScheme, bool bank_xor,
+                       bool color_subarrays)
+    : AddressMap(geom, color_subarrays)
+{
+    DBP_ASSERT(!bank_xor, "the address map has no bank XOR");
 }
 
 namespace {
@@ -110,92 +90,35 @@ AddressMap::decode(Addr addr) const
 {
     std::uint64_t line = addr >> lineBits_;
     DramCoord c;
-
-    switch (scheme_) {
-      case MapScheme::PageInterleave: {
-        std::uint64_t col_lo = take(line, pageLineBits_);
-        c.channel = static_cast<unsigned>(take(line, chanBits_));
-        c.rank = static_cast<unsigned>(take(line, rankBits_));
-        c.bank = static_cast<unsigned>(take(line, bankBits_));
-        std::uint64_t slot = take(line, slotBits_);
-        c.row = take(line, rowBits_);
-        c.col = col_lo | (slot << pageLineBits_);
-        break;
-      }
-      case MapScheme::RowInterleave: {
-        c.col = take(line, colBits_);
-        c.channel = static_cast<unsigned>(take(line, chanBits_));
-        c.rank = static_cast<unsigned>(take(line, rankBits_));
-        c.bank = static_cast<unsigned>(take(line, bankBits_));
-        c.row = take(line, rowBits_);
-        break;
-      }
-      case MapScheme::LineInterleave: {
-        c.channel = static_cast<unsigned>(take(line, chanBits_));
-        c.rank = static_cast<unsigned>(take(line, rankBits_));
-        c.bank = static_cast<unsigned>(take(line, bankBits_));
-        c.col = take(line, colBits_);
-        c.row = take(line, rowBits_);
-        break;
-      }
-    }
-
-    if (bankXor_ && bankBits_ > 0) {
-        auto mask = (1ULL << bankBits_) - 1;
-        c.bank = static_cast<unsigned>((c.bank ^ (c.row & mask)) & mask);
-    }
+    std::uint64_t col_lo = take(line, pageLineBits_);
+    c.channel = static_cast<unsigned>(take(line, chanBits_));
+    c.rank = static_cast<unsigned>(take(line, rankBits_));
+    c.bank = static_cast<unsigned>(take(line, bankBits_));
+    std::uint64_t slot = take(line, slotBits_);
+    c.row = take(line, rowBits_);
+    c.col = col_lo | (slot << pageLineBits_);
     return c;
 }
 
 Addr
-AddressMap::encode(const DramCoord &coord) const
+AddressMap::encode(const DramCoord &c) const
 {
-    DramCoord c = coord;
     DBP_ASSERT(c.channel < geom_.channels, "channel out of range");
     DBP_ASSERT(c.rank < geom_.ranksPerChannel, "rank out of range");
     DBP_ASSERT(c.bank < geom_.banksPerRank, "bank out of range");
     DBP_ASSERT(c.row < geom_.rowsPerBank, "row out of range");
     DBP_ASSERT(c.col < geom_.colsPerRow(), "col out of range");
 
-    if (bankXor_ && bankBits_ > 0) {
-        // XOR with the same row bits is its own inverse.
-        auto mask = (1ULL << bankBits_) - 1;
-        c.bank = static_cast<unsigned>((c.bank ^ (c.row & mask)) & mask);
-    }
-
+    std::uint64_t col_lo = c.col & ((1ULL << pageLineBits_) - 1);
+    std::uint64_t slot = c.col >> pageLineBits_;
     std::uint64_t line = 0;
     unsigned shift = 0;
-
-    switch (scheme_) {
-      case MapScheme::PageInterleave: {
-        std::uint64_t col_lo = c.col & ((1ULL << pageLineBits_) - 1);
-        std::uint64_t slot = c.col >> pageLineBits_;
-        put(line, shift, col_lo, pageLineBits_);
-        put(line, shift, c.channel, chanBits_);
-        put(line, shift, c.rank, rankBits_);
-        put(line, shift, c.bank, bankBits_);
-        put(line, shift, slot, slotBits_);
-        put(line, shift, c.row, rowBits_);
-        break;
-      }
-      case MapScheme::RowInterleave: {
-        put(line, shift, c.col, colBits_);
-        put(line, shift, c.channel, chanBits_);
-        put(line, shift, c.rank, rankBits_);
-        put(line, shift, c.bank, bankBits_);
-        put(line, shift, c.row, rowBits_);
-        break;
-      }
-      case MapScheme::LineInterleave: {
-        put(line, shift, c.channel, chanBits_);
-        put(line, shift, c.rank, rankBits_);
-        put(line, shift, c.bank, bankBits_);
-        put(line, shift, c.col, colBits_);
-        put(line, shift, c.row, rowBits_);
-        break;
-      }
-    }
-
+    put(line, shift, col_lo, pageLineBits_);
+    put(line, shift, c.channel, chanBits_);
+    put(line, shift, c.rank, rankBits_);
+    put(line, shift, c.bank, bankBits_);
+    put(line, shift, slot, slotBits_);
+    put(line, shift, c.row, rowBits_);
     return line << lineBits_;
 }
 
@@ -226,25 +149,15 @@ AddressMap::colorLocation(unsigned color) const
     return loc;
 }
 
-bool
-AddressMap::supportsBankColoring() const
-{
-    return scheme_ == MapScheme::PageInterleave && !bankXor_;
-}
-
 std::uint64_t
 AddressMap::framesPerColor() const
 {
-    DBP_ASSERT(supportsBankColoring(),
-               "framesPerColor only defined for PageInterleave");
     return geom_.totalFrames() / numColors();
 }
 
 std::uint64_t
 AddressMap::frameOfColorIndex(unsigned color, std::uint64_t index) const
 {
-    DBP_ASSERT(supportsBankColoring(),
-               "frameOfColorIndex only defined for PageInterleave");
     DBP_ASSERT(color < numColors(), "color out of range");
     DBP_ASSERT(index < framesPerColor(), "frame index out of range");
     // Frame number layout (LSB first): chan | rank | bank | slot | row.
@@ -280,8 +193,6 @@ AddressMap::frameOfColorIndex(unsigned color, std::uint64_t index) const
 unsigned
 AddressMap::colorOfFrame(std::uint64_t frame) const
 {
-    DBP_ASSERT(supportsBankColoring(),
-               "colorOfFrame only defined for PageInterleave");
     std::uint64_t f = frame;
     auto chan = static_cast<unsigned>(take(f, chanBits_));
     auto rank = static_cast<unsigned>(take(f, rankBits_));

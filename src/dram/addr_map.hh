@@ -2,12 +2,10 @@
  * @file
  * Physical address <-> DRAM coordinate mapping.
  *
- * The mapping scheme determines which address bits select the channel,
- * rank, bank, row and column. Bank partitioning via OS page coloring
- * requires the {channel, rank, bank} bits to sit entirely above the
- * page offset so that one physical frame lives wholly inside one bank
- * (scheme PageInterleave). Line/row interleaving schemes are provided
- * as unpartitionable baselines for ablations.
+ * The map is page-interleaved: the {channel, rank, bank} bits sit
+ * entirely above the page offset, so one physical frame lives wholly
+ * inside one bank. Bank partitioning via OS page coloring relies on
+ * exactly this.
  */
 
 #ifndef DBPSIM_DRAM_ADDR_MAP_HH
@@ -71,28 +69,18 @@ struct DramCoord
     bool operator==(const DramCoord &o) const = default;
 };
 
-/** Address bit-field ordering schemes. */
+/**
+ * The one address-bit ordering. Read only by hostbench/traced_system.cc,
+ * through SystemParams::scheme and the four-argument constructor.
+ */
 enum class MapScheme
 {
-    /**
-     * [line-in-page][chan][rank][bank][page-slot-in-row][row].
-     * Frames are bank-homogeneous; required for bank partitioning.
-     */
     PageInterleave,
-    /** [col][chan][rank][bank][row]: whole rows contiguous. */
-    RowInterleave,
-    /** [chan][rank][bank][col][row]: maximally spreads lines. */
-    LineInterleave,
 };
 
-/** Parse "page" / "row" / "line"; fatal() on anything else. */
-MapScheme mapSchemeByName(const std::string &name);
-
-/** Human-readable scheme name. */
-std::string mapSchemeName(MapScheme scheme);
-
 /**
- * Bidirectional address translator for a geometry + scheme.
+ * Bidirectional address translator for a geometry. Line address bits,
+ * LSB first: [line-in-page][chan][rank][bank][page-slot-in-row][row].
  *
  * A "color" identifies one physical bank machine-wide:
  *   color = ((channel * ranksPerChannel) + rank) * banksPerRank + bank.
@@ -106,16 +94,19 @@ class AddressMap
   public:
     /**
      * @param geom Validated DRAM geometry.
-     * @param scheme Field ordering.
-     * @param bank_xor If true, the bank field is XOR-permuted with the
-     *        low row bits (Zhang et al.) to spread conflicting rows.
-     *        Incompatible with OS bank partitioning; default off.
      * @param color_subarrays If true, colors name {channel, rank,
      *        bank, subarray} instead of {channel, rank, bank}; the
      *        partitioning axis gains subarray granularity.
      */
-    AddressMap(const DramGeometry &geom, MapScheme scheme,
-               bool bank_xor = false, bool color_subarrays = false);
+    explicit AddressMap(const DramGeometry &geom,
+                        bool color_subarrays = false);
+
+    /**
+     * The same map, for hostbench/traced_system.cc, its only caller.
+     * @p bank_xor must be false.
+     */
+    AddressMap(const DramGeometry &geom, MapScheme scheme, bool bank_xor,
+               bool color_subarrays);
 
     /** Decode a byte address into DRAM coordinates. */
     DramCoord decode(Addr addr) const;
@@ -163,43 +154,27 @@ class AddressMap
     /** Geometry in use. */
     const DramGeometry &geometry() const { return geom_; }
 
-    /** Scheme in use. */
-    MapScheme scheme() const { return scheme_; }
-
-    /** True iff the bank-XOR permutation is enabled. */
-    bool bankXor() const { return bankXor_; }
-
-    /**
-     * True iff every byte of any OS frame maps to a single color, so
-     * frame-granular bank partitioning is sound. Holds exactly for
-     * PageInterleave without bank XOR.
-     */
-    bool supportsBankColoring() const;
-
-    /** OS frames per color (PageInterleave only). */
+    /** OS frames per color. */
     std::uint64_t framesPerColor() const;
 
     /**
      * Frame number of the @p index 'th frame of @p color
-     * (PageInterleave only; index < framesPerColor()).
+     * (index < framesPerColor()).
      */
     std::uint64_t frameOfColorIndex(unsigned color,
                                     std::uint64_t index) const;
 
-    /** Color of a frame number (PageInterleave only). */
+    /** Color of a frame number. */
     unsigned colorOfFrame(std::uint64_t frame) const;
 
   private:
     DramGeometry geom_;
-    MapScheme scheme_;
-    bool bankXor_;
     bool colorSubarrays_;
 
     unsigned chanBits_;
     unsigned rankBits_;
     unsigned bankBits_;
     unsigned rowBits_;
-    unsigned colBits_;
     unsigned lineBits_;
     unsigned pageLineBits_; ///< log2(pageBytes / lineBytes).
     unsigned slotBits_;     ///< log2(rowBytes / pageBytes).

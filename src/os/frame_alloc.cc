@@ -5,17 +5,9 @@
 namespace dbpsim {
 
 FrameAllocator::FrameAllocator(const AddressMap &map)
-    : map_(map), colorAware_(map.supportsBankColoring())
+    : map_(map), framesPerColor_(map.framesPerColor()),
+      bump_(map.numColors(), 0), freeLists_(map.numColors())
 {
-    if (colorAware_) {
-        framesPerColor_ = map.framesPerColor();
-        bump_.assign(map.numColors(), 0);
-        freeLists_.resize(map.numColors());
-    } else {
-        framesPerColor_ = map.geometry().totalFrames();
-        bump_.assign(1, 0);
-        freeLists_.resize(1);
-    }
 }
 
 bool
@@ -31,7 +23,7 @@ FrameAllocator::allocateInColor(unsigned color, std::uint64_t &frame)
     }
     if (bump_[color] < framesPerColor_) {
         std::uint64_t idx = bump_[color]++;
-        frame = colorAware_ ? map_.frameOfColorIndex(color, idx) : idx;
+        frame = map_.frameOfColorIndex(color, idx);
         statAllocs.inc();
         return true;
     }
@@ -42,7 +34,6 @@ std::uint64_t
 FrameAllocator::allocate(const std::vector<unsigned> &colors,
                          std::size_t &cursor, bool *fell_back)
 {
-    DBP_ASSERT(colorAware_, "colored allocation on a non-colorable map");
     DBP_ASSERT(!colors.empty(), "empty color set");
     for (std::size_t tries = 0; tries < colors.size(); ++tries) {
         unsigned color = colors[cursor % colors.size()];
@@ -68,26 +59,10 @@ FrameAllocator::allocate(const std::vector<unsigned> &colors,
           " bank colors exhausted machine-wide");
 }
 
-std::uint64_t
-FrameAllocator::allocateAny()
-{
-    std::uint64_t frame;
-    if (colorAware_) {
-        for (unsigned c = 0; c < bump_.size(); ++c)
-            if (allocateInColor(c, frame))
-                return frame;
-    } else {
-        if (allocateInColor(0, frame))
-            return frame;
-    }
-    fatal("out of physical memory");
-}
-
 void
 FrameAllocator::release(std::uint64_t frame)
 {
-    unsigned color = colorAware_ ? map_.colorOfFrame(frame) : 0;
-    freeLists_[color].push_back(frame);
+    freeLists_[map_.colorOfFrame(frame)].push_back(frame);
     statReleases.inc();
 }
 

@@ -2,11 +2,10 @@
  * @file
  * Physical frame allocator with bank-color awareness.
  *
- * When the address map supports bank coloring (PageInterleave), free
- * frames are tracked per color so the OS can honour per-thread color
- * sets (the enforcement mechanism of every partitioning policy). Each
- * color uses a bump pointer over its virgin frames plus a LIFO free
- * list of released frames, so no frame list is ever materialized.
+ * Free frames are tracked per color so the OS can honour per-thread
+ * color sets (the enforcement mechanism of every partitioning policy).
+ * Each color uses a bump pointer over its virgin frames plus a LIFO
+ * free list of released frames, so no frame list is ever materialized.
  */
 
 #ifndef DBPSIM_OS_FRAME_ALLOC_HH
@@ -51,11 +50,6 @@ class FrameAllocator
                            std::size_t &cursor,
                            bool *fell_back = nullptr);
 
-    /**
-     * Allocate ignoring colors (for non-colorable address maps).
-     */
-    std::uint64_t allocateAny();
-
     /** Return a frame to its color's free list. */
     void release(std::uint64_t frame);
 
@@ -65,10 +59,7 @@ class FrameAllocator
     /** Free frames machine-wide. */
     std::uint64_t totalFree() const;
 
-    /** True when per-color accounting is active. */
-    bool colorAware() const { return colorAware_; }
-
-    /** Number of colors (1 when not color-aware). */
+    /** Number of colors. */
     unsigned numColors() const
     {
         return static_cast<unsigned>(bump_.size());
@@ -85,7 +76,6 @@ class FrameAllocator
 
   private:
     const AddressMap &map_;
-    bool colorAware_;
     std::uint64_t framesPerColor_;
 
     /** Next virgin frame index per color. */

@@ -14,12 +14,9 @@ OsMemory::OsMemory(const AddressMap &map, unsigned num_threads)
     cursors_.assign(num_threads, 0);
 
     // Default: every thread may use every color (unpartitioned).
-    std::vector<unsigned> all;
-    if (allocator_.colorAware()) {
-        all.resize(map.numColors());
-        for (unsigned c = 0; c < map.numColors(); ++c)
-            all[c] = c;
-    }
+    std::vector<unsigned> all(map.numColors());
+    for (unsigned c = 0; c < map.numColors(); ++c)
+        all[c] = c;
     colorSets_.assign(num_threads, all);
     fallbackWarned_.assign(num_threads, 0);
     lazyEnabled_.assign(num_threads, false);
@@ -29,7 +26,7 @@ OsMemory::OsMemory(const AddressMap &map, unsigned num_threads)
     // Stagger the initial round-robin cursors so co-running threads do
     // not allocate their first pages in the same bank sequence.
     for (unsigned t = 0; t < num_threads; ++t)
-        cursors_[t] = all.empty() ? 0 : (t * 3) % all.size();
+        cursors_[t] = (t * 3) % all.size();
 }
 
 std::size_t
@@ -43,7 +40,7 @@ OsMemory::idx(ThreadId tid) const
 void
 OsMemory::notifyFrame(ThreadId tid, std::uint64_t frame)
 {
-    if (partObserver_ && allocator_.colorAware())
+    if (partObserver_)
         partObserver_->onFrameAllocated(tid, map_.colorOfFrame(frame));
 }
 
@@ -72,10 +69,7 @@ OsMemory::translate(ThreadId tid, Addr vaddr)
 
     std::uint64_t frame;
     if (!tables_[t].lookup(vpage, frame)) {
-        if (allocator_.colorAware())
-            frame = allocateFor(tid);
-        else
-            frame = allocator_.allocateAny();
+        frame = allocateFor(tid);
         tables_[t].map(vpage, frame);
         notifyFrame(tid, frame);
     } else if (lazyEnabled_[t] && nonconformingCount_[t] > 0 &&
@@ -105,10 +99,6 @@ void
 OsMemory::setLazyMigration(ThreadId tid, bool enabled)
 {
     std::size_t t = idx(tid);
-    if (!allocator_.colorAware()) {
-        lazyEnabled_[t] = false;
-        return;
-    }
     lazyEnabled_[t] = enabled;
     if (enabled)
         nonconformingCount_[t] = nonconformingPages(tid);
@@ -126,10 +116,6 @@ void
 OsMemory::setColorSet(ThreadId tid, std::vector<unsigned> colors)
 {
     std::size_t t = idx(tid);
-    if (!allocator_.colorAware()) {
-        warn("setColorSet ignored: address map cannot color frames");
-        return;
-    }
     DBP_ASSERT(!colors.empty(), "thread " << tid << " given empty colors");
     for (unsigned c : colors)
         DBP_ASSERT(c < map_.numColors(), "color " << c << " out of range");
@@ -159,8 +145,6 @@ std::uint64_t
 OsMemory::nonconformingPages(ThreadId tid) const
 {
     std::size_t t = idx(tid);
-    if (!allocator_.colorAware())
-        return 0;
     const auto &set = colorSets_[t];
     std::uint64_t count = 0;
     tables_[t].forEach([&](std::uint64_t, std::uint64_t frame) {
@@ -176,9 +160,6 @@ OsMemory::migrate(ThreadId tid, std::uint64_t max_pages)
 {
     std::size_t t = idx(tid);
     MigrationResult result;
-    if (!allocator_.colorAware())
-        return result;
-
     const auto &set = colorSets_[t];
 
     // Collect nonconforming pages first (mutating inside forEach is

@@ -55,7 +55,6 @@ class OsMemory
     /**
      * Set the colors thread @p tid may allocate from. Affects future
      * allocations only; call migrate() to move existing pages.
-     * Ignored (with a warning) when the map cannot color frames.
      */
     void setColorSet(ThreadId tid, std::vector<unsigned> colors);
 

@@ -31,10 +31,6 @@ PartitionManager::PartitionManager(
     DBP_ASSERT(policy_ != nullptr, "manager needs a policy");
     DBP_ASSERT(controllers_.size() == map_.geometry().channels,
                "need one controller per channel");
-    if (policy_->name() != "none" && !map_.supportsBankColoring())
-        fatal("partition policy '", policy_->name(),
-              "' requires the page-interleaved address map ",
-              "(scheme=page, bank_xor=off)");
 
     // One page = pageBytes/lineBytes bursts of tBURST each, read at
     // the source and written at the destination.
@@ -71,10 +67,6 @@ PartitionManager::apply(const PartitionAssignment &assignment)
     DBP_ASSERT(assignment.size() == os_.numThreads(),
                "assignment size != thread count");
     current_ = assignment;
-
-    if (!map_.supportsBankColoring())
-        return; // "none" policy on a non-colorable map: nothing to do.
-
     for (unsigned t = 0; t < assignment.size(); ++t) {
         auto tid = static_cast<ThreadId>(t);
         os_.setColorSet(tid, assignment[t]);
@@ -97,8 +89,7 @@ void
 PartitionManager::migrateStep(Cycle mem_now)
 {
     if (params_.migration == MigrationMode::None ||
-        params_.migration == MigrationMode::Lazy ||
-        !map_.supportsBankColoring())
+        params_.migration == MigrationMode::Lazy)
         return;
 
     // Budget shared across threads: round-robin so no thread hogs the

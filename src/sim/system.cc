@@ -11,8 +11,7 @@ namespace dbpsim {
 System::System(const SystemParams &params,
                const std::vector<TraceSource *> &sources)
     : params_(params),
-      map_(params.geometry, params.scheme, params.bankXor,
-           params.subarrayColoring)
+      map_(params.geometry, params.subarrayColoring)
 {
     if (sources.size() != params_.numCores)
         fatal("system: ", params_.numCores, " cores but ",

@@ -1,8 +1,9 @@
 /**
  * @file
- * Address-map tests: decode/encode bijectivity across schemes and
- * geometries (property sweeps), frame-coloring soundness, and the
- * color <-> location arithmetic the OS and partition manager rely on.
+ * Address-map tests: decode/encode bijectivity across geometries
+ * (property sweeps), frame-coloring soundness with bank and subarray
+ * colors, and the color <-> location arithmetic the OS and partition
+ * manager rely on.
  */
 
 #include <gtest/gtest.h>
@@ -51,25 +52,10 @@ TEST(Geometry, DerivedQuantities)
     EXPECT_EQ(g.totalFrames(), g.capacityBytes() / 4096);
 }
 
-TEST(MapScheme, Names)
+TEST(AddrMapRoundTrip, DecodeEncodeBijective)
 {
-    EXPECT_EQ(mapSchemeByName("page"), MapScheme::PageInterleave);
-    EXPECT_EQ(mapSchemeByName("row"), MapScheme::RowInterleave);
-    EXPECT_EQ(mapSchemeByName("line"), MapScheme::LineInterleave);
-    EXPECT_EQ(mapSchemeName(MapScheme::PageInterleave), "page");
-}
-
-/** Parameterized over (scheme, bank_xor). */
-class AddrMapRoundTrip
-    : public ::testing::TestWithParam<std::tuple<MapScheme, bool>>
-{
-};
-
-TEST_P(AddrMapRoundTrip, DecodeEncodeBijective)
-{
-    auto [scheme, bank_xor] = GetParam();
     DramGeometry g = smallGeometry();
-    AddressMap map(g, scheme, bank_xor);
+    AddressMap map(g);
 
     Rng rng(99);
     for (int i = 0; i < 5000; ++i) {
@@ -85,11 +71,10 @@ TEST_P(AddrMapRoundTrip, DecodeEncodeBijective)
     }
 }
 
-TEST_P(AddrMapRoundTrip, EncodeDecodeBijective)
+TEST(AddrMapRoundTrip, EncodeDecodeBijective)
 {
-    auto [scheme, bank_xor] = GetParam();
     DramGeometry g = smallGeometry();
-    AddressMap map(g, scheme, bank_xor);
+    AddressMap map(g);
 
     Rng rng(7);
     for (int i = 0; i < 5000; ++i) {
@@ -103,14 +88,8 @@ TEST_P(AddrMapRoundTrip, EncodeDecodeBijective)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SchemesAndXor, AddrMapRoundTrip,
-    ::testing::Combine(::testing::Values(MapScheme::PageInterleave,
-                                         MapScheme::RowInterleave,
-                                         MapScheme::LineInterleave),
-                       ::testing::Bool()));
-
-/** Parameterized geometry sweep for the coloring-critical scheme. */
+/** Parameterized geometry sweep; each case runs with bank colors and
+ *  with subarray colors. */
 class AddrMapGeometry
     : public ::testing::TestWithParam<
           std::tuple<unsigned, unsigned, unsigned>>
@@ -124,21 +103,23 @@ TEST_P(AddrMapGeometry, PageInterleaveRoundTripAndColoring)
     g.channels = channels;
     g.ranksPerChannel = ranks;
     g.banksPerRank = banks;
-    AddressMap map(g, MapScheme::PageInterleave);
+    for (bool colored : {false, true}) {
+        SCOPED_TRACE(colored ? "subarray colors" : "bank colors");
+        AddressMap map(g, colored);
+        const unsigned per_bank = colored ? g.subarraysPerBank : 1u;
+        EXPECT_EQ(map.numColors(), channels * ranks * banks * per_bank);
 
-    EXPECT_TRUE(map.supportsBankColoring());
-    EXPECT_EQ(map.numColors(), channels * ranks * banks);
+        Rng rng(123);
+        for (int i = 0; i < 2000; ++i) {
+            Addr line = rng.nextBelow(g.capacityBytes() / g.lineBytes);
+            Addr addr = line * g.lineBytes;
+            DramCoord c = map.decode(addr);
+            EXPECT_EQ(map.encode(c), addr);
 
-    Rng rng(123);
-    for (int i = 0; i < 2000; ++i) {
-        Addr line = rng.nextBelow(g.capacityBytes() / g.lineBytes);
-        Addr addr = line * g.lineBytes;
-        DramCoord c = map.decode(addr);
-        EXPECT_EQ(map.encode(c), addr);
-
-        // Every byte of the frame shares the frame's color.
-        std::uint64_t frame = addr / g.pageBytes;
-        EXPECT_EQ(map.colorOf(c), map.colorOfFrame(frame));
+            // Every byte of the frame shares the frame's color.
+            std::uint64_t frame = addr / g.pageBytes;
+            EXPECT_EQ(map.colorOf(c), map.colorOfFrame(frame));
+        }
     }
 }
 
@@ -154,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AddrMap, FrameSpansSingleBankUnderPageInterleave)
 {
     DramGeometry g = smallGeometry();
-    AddressMap map(g, MapScheme::PageInterleave);
+    AddressMap map(g);
 
     Rng rng(5);
     for (int i = 0; i < 500; ++i) {
@@ -168,65 +149,64 @@ TEST(AddrMap, FrameSpansSingleBankUnderPageInterleave)
     }
 }
 
-TEST(AddrMap, LineInterleaveDoesNotSupportColoring)
-{
-    DramGeometry g = smallGeometry();
-    AddressMap line_map(g, MapScheme::LineInterleave);
-    EXPECT_FALSE(line_map.supportsBankColoring());
-
-    AddressMap xor_map(g, MapScheme::PageInterleave, true);
-    EXPECT_FALSE(xor_map.supportsBankColoring());
-}
-
 TEST(AddrMap, FrameColorIndexBijection)
 {
     DramGeometry g = smallGeometry();
-    AddressMap map(g, MapScheme::PageInterleave);
+    for (bool colored : {false, true}) {
+        SCOPED_TRACE(colored ? "subarray colors" : "bank colors");
+        AddressMap map(g, colored);
 
-    std::set<std::uint64_t> seen;
-    for (unsigned color = 0; color < map.numColors(); ++color) {
-        for (std::uint64_t i = 0; i < 16; ++i) {
-            std::uint64_t frame = map.frameOfColorIndex(color, i);
-            EXPECT_EQ(map.colorOfFrame(frame), color);
-            EXPECT_TRUE(seen.insert(frame).second)
-                << "frame " << frame << " produced twice";
+        std::set<std::uint64_t> seen;
+        for (unsigned color = 0; color < map.numColors(); ++color) {
+            for (std::uint64_t i = 0; i < 16; ++i) {
+                std::uint64_t frame = map.frameOfColorIndex(color, i);
+                EXPECT_EQ(map.colorOfFrame(frame), color);
+                EXPECT_TRUE(seen.insert(frame).second)
+                    << "frame " << frame << " produced twice";
+            }
         }
+        EXPECT_EQ(map.framesPerColor(),
+                  g.totalFrames() / map.numColors());
     }
-    EXPECT_EQ(map.framesPerColor(),
-              g.totalFrames() / map.numColors());
 }
 
 TEST(AddrMap, ColorLocationInverse)
 {
     DramGeometry g = smallGeometry();
-    AddressMap map(g, MapScheme::PageInterleave);
-    for (unsigned color = 0; color < map.numColors(); ++color) {
-        auto loc = map.colorLocation(color);
-        DramCoord c;
-        c.channel = loc.channel;
-        c.rank = loc.rank;
-        c.bank = loc.bank;
-        EXPECT_EQ(map.colorOf(c), color);
+    for (bool colored : {false, true}) {
+        SCOPED_TRACE(colored ? "subarray colors" : "bank colors");
+        AddressMap map(g, colored);
+        for (unsigned color = 0; color < map.numColors(); ++color) {
+            auto loc = map.colorLocation(color);
+            DramCoord c;
+            c.channel = loc.channel;
+            c.rank = loc.rank;
+            c.bank = loc.bank;
+            c.row = loc.subarray; // the low row bits select the subarray.
+            EXPECT_EQ(map.colorOf(c), color);
+        }
     }
 }
 
-TEST(AddrMap, BankXorIsPermutationWithinRow)
+TEST(AddrMap, FourArgumentConstructorBuildsTheSameMap)
 {
     DramGeometry g = smallGeometry();
-    AddressMap plain(g, MapScheme::RowInterleave, false);
-    AddressMap xored(g, MapScheme::RowInterleave, true);
+    for (bool colored : {false, true}) {
+        SCOPED_TRACE(colored ? "subarray colors" : "bank colors");
+        AddressMap one(g, colored);
+        AddressMap four(g, MapScheme::PageInterleave, false, colored);
+        EXPECT_EQ(four.subarrayColoring(), colored);
+        EXPECT_EQ(four.numColors(), one.numColors());
 
-    // For a fixed row, the XOR map permutes banks (bijective over the
-    // bank set), so conflicting rows spread.
-    std::set<unsigned> banks_seen;
-    DramCoord c;
-    c.row = 5;
-    for (unsigned b = 0; b < g.banksPerRank; ++b) {
-        c.bank = b;
-        Addr a = xored.encode(c);
-        banks_seen.insert(plain.decode(a).bank);
+        Rng rng(11);
+        for (int i = 0; i < 2000; ++i) {
+            Addr line = rng.nextBelow(g.capacityBytes() / g.lineBytes);
+            Addr addr = line * g.lineBytes;
+            EXPECT_EQ(four.decode(addr), one.decode(addr));
+            EXPECT_EQ(four.colorOfFrame(addr / g.pageBytes),
+                      one.colorOfFrame(addr / g.pageBytes));
+        }
     }
-    EXPECT_EQ(banks_seen.size(), g.banksPerRank);
 }
 
 } // namespace

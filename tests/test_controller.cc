@@ -48,7 +48,7 @@ class ControllerFixture : public ::testing::Test
 {
   protected:
     ControllerFixture()
-        : map_(geo(), MapScheme::PageInterleave),
+        : map_(geo()),
           timing_(ddr3_1600())
     {
         ControllerParams params;
@@ -340,7 +340,7 @@ TEST_F(ControllerFixture, DemandViewTracksQueuedRequests)
     // done.
     DramGeometry g = geo();
     g.ranksPerChannel = 2;
-    AddressMap map(g, MapScheme::PageInterleave);
+    AddressMap map(g);
     ControllerParams params;
     params.numThreads = 4;
     params.idleWriteThresh = 1;

@@ -69,9 +69,8 @@ TEST(PageTable, ForEachVisitsAll)
 
 TEST(FrameAllocator, ColorAccountingExact)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     FrameAllocator alloc(map);
-    ASSERT_TRUE(alloc.colorAware());
     EXPECT_EQ(alloc.numColors(), 32u);
 
     std::uint64_t per_color = map.framesPerColor();
@@ -92,7 +91,7 @@ TEST(FrameAllocator, ColorAccountingExact)
 
 TEST(FrameAllocator, ColorExhaustion)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     FrameAllocator alloc(map);
     std::uint64_t per_color = map.framesPerColor();
     std::uint64_t f;
@@ -105,7 +104,7 @@ TEST(FrameAllocator, ColorExhaustion)
 
 TEST(FrameAllocator, RoundRobinSpreadsAcrossColors)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     FrameAllocator alloc(map);
     std::vector<unsigned> colors = {2, 5, 9};
     std::size_t cursor = 0;
@@ -117,7 +116,7 @@ TEST(FrameAllocator, RoundRobinSpreadsAcrossColors)
 
 TEST(FrameAllocator, AllocatePropertySweep)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     FrameAllocator alloc(map);
     Rng rng(31);
     // Random color sets, random interleavings: every frame must come
@@ -141,19 +140,9 @@ TEST(FrameAllocator, AllocatePropertySweep)
     }
 }
 
-TEST(FrameAllocator, NonColorableMapUsesSinglePool)
-{
-    AddressMap map(geo(), MapScheme::LineInterleave);
-    FrameAllocator alloc(map);
-    EXPECT_FALSE(alloc.colorAware());
-    std::uint64_t a = alloc.allocateAny();
-    std::uint64_t b = alloc.allocateAny();
-    EXPECT_NE(a, b);
-}
-
 TEST(OsMemory, TranslateIsStable)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 2);
     Addr va = 0x1234540;
     Addr pa1 = os.translate(0, va);
@@ -165,7 +154,7 @@ TEST(OsMemory, TranslateIsStable)
 
 TEST(OsMemory, ThreadsGetDistinctFrames)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 2);
     Addr pa0 = os.translate(0, 0x0);
     Addr pa1 = os.translate(1, 0x0);
@@ -174,7 +163,7 @@ TEST(OsMemory, ThreadsGetDistinctFrames)
 
 TEST(OsMemory, ColorSetEnforcedOnAllocation)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 1);
     os.setColorSet(0, {4, 11, 19});
 
@@ -190,7 +179,7 @@ TEST(OsMemory, ColorSetEnforcedOnAllocation)
 
 TEST(OsMemory, MigrationMovesNonconformingPages)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 1);
     os.setColorSet(0, {0, 1});
     for (int i = 0; i < 50; ++i)
@@ -217,7 +206,7 @@ TEST(OsMemory, MigrationMovesNonconformingPages)
 
 TEST(OsMemory, MigrationRespectsCap)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 1);
     os.setColorSet(0, {0});
     for (int i = 0; i < 40; ++i)
@@ -231,7 +220,7 @@ TEST(OsMemory, MigrationRespectsCap)
 
 TEST(OsMemory, MigrationFreesOldFrames)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 1);
     os.setColorSet(0, {0});
     std::uint64_t before = os.allocator().freeInColor(0);
@@ -245,7 +234,7 @@ TEST(OsMemory, MigrationFreesOldFrames)
 
 TEST(OsMemory, InvalidColorSetRejected)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 1);
     EXPECT_DEATH(os.setColorSet(0, {}), "empty");
     EXPECT_DEATH(os.setColorSet(0, {999}), "out of range");
@@ -253,7 +242,7 @@ TEST(OsMemory, InvalidColorSetRejected)
 
 TEST(OsMemory, BadThreadIdPanics)
 {
-    AddressMap map(geo(), MapScheme::PageInterleave);
+    AddressMap map(geo());
     OsMemory os(map, 2);
     EXPECT_DEATH(os.translate(5, 0), "out of range");
     EXPECT_DEATH(os.translate(-1, 0), "out of range");

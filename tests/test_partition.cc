@@ -363,8 +363,7 @@ class ManagerFixture : public ::testing::Test
         geo_.rowBytes = 8192;
         geo_.lineBytes = 64;
         geo_.pageBytes = 4096;
-        map_ = std::make_unique<AddressMap>(geo_,
-                                            MapScheme::PageInterleave);
+        map_ = std::make_unique<AddressMap>(geo_);
         os_ = std::make_unique<OsMemory>(*map_, 2);
         ControllerParams cp;
         cp.numThreads = 2;

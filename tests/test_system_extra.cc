@@ -225,31 +225,6 @@ TEST(SystemInvariant, InstructionCountsMonotonic)
     }
 }
 
-TEST(SystemInvariant, BankXorBaselineRuns)
-{
-    auto a = makeSource("a", 10, 2, 16, 0.2, 1024, 1);
-    std::vector<TraceSource *> raw{a.get()};
-    SystemParams params = smallParams(1);
-    params.scheme = MapScheme::RowInterleave;
-    params.bankXor = true;
-    System sys(params, raw);
-    auto ipc = sys.runAndMeasure(100'000, 200'000);
-    EXPECT_GT(ipc[0], 0.0);
-}
-
-TEST(SystemInvariant, LineInterleaveBaselineRuns)
-{
-    auto a = makeSource("a", 20, 4, 16, 0.2, 2048, 1);
-    auto b = makeSource("b", 20, 4, 16, 0.2, 2048, 2);
-    std::vector<TraceSource *> raw{a.get(), b.get()};
-    SystemParams params = smallParams(2);
-    params.scheme = MapScheme::LineInterleave;
-    System sys(params, raw);
-    auto ipc = sys.runAndMeasure(100'000, 200'000);
-    EXPECT_GT(ipc[0], 0.0);
-    EXPECT_GT(ipc[1], 0.0);
-}
-
 TEST(SystemCanary, DbpFairerThanUbpOnAsymmetricMix)
 {
     // Miniature version of the headline result (fig5): on a
