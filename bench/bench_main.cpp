@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,8 +100,12 @@ main(int argc, char **argv)
         } else if (arg == "--serial") {
             jobs = 1;
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                parseIntString(arg.substr(7), "--jobs"));
+            const std::int64_t n = parseIntString(arg.substr(7), "--jobs");
+            if (n < 0 || n > std::numeric_limits<unsigned>::max())
+                fatal("value '", arg.substr(7),
+                      "' for --jobs is out of range [0, ",
+                      std::numeric_limits<unsigned>::max(), "]");
+            jobs = static_cast<unsigned>(n);
         } else if (arg.rfind("--out=", 0) == 0) {
             out_dir = arg.substr(6);
         } else if (arg == "--no-cache") {

@@ -13,9 +13,11 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "common/table.hh"
 #include "mem/sched_factory.hh"
 #include "part/part_factory.hh"
@@ -75,7 +77,11 @@ main(int argc, char **argv)
     };
 
     CampaignOptions opts;
-    opts.jobs = static_cast<unsigned>(config.getUInt("jobs", 0));
+    const std::uint64_t jobs = config.getUInt("jobs", 0);
+    if (jobs > std::numeric_limits<unsigned>::max())
+        fatal("value ", jobs, " for key jobs is out of range (max ",
+              std::numeric_limits<unsigned>::max(), ")");
+    opts.jobs = static_cast<unsigned>(jobs);
     opts.progress = config.getBool("progress", true);
     auto baselines = std::make_shared<AloneBaselineCache>();
     runCampaign(spec, rc, baselines, opts, std::cout);
