@@ -22,7 +22,11 @@
 #      hostbench/run.py does), its benchmark and test binaries built
 #      and its tests run: the benchmark re-assembles System from the
 #      components' public constructors, so a src/ change can break its
-#      build while the simulator's own suite still passes.
+#      build while the simulator's own suite still passes. Then one
+#      traced run of refresh_salp_churn (per-bank refresh, SALP-2,
+#      eager migration, the protocol checker) must report
+#      "correct": true, i.e. every traced job matched its plain System
+#      run; the binary exits 0 even when one did not.
 #
 # Usage: scripts/check.sh [--full] [base-ref]
 #   --full     Lint every translation unit in compile_commands.json
@@ -138,10 +142,17 @@ else
 fi
 
 # ---------------------------------------------------------------- 7 --
-step "hostbench build + tests"
+step "hostbench build + tests + traced fidelity run"
 cmake -S hostbench -B build-hostbench -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-hostbench -j "$jobs" --target hostbench hostbench_tests
 ./build-hostbench/hostbench_tests
+verdict="$(./build-hostbench/hostbench --workload refresh_salp_churn \
+    --seed 1 --seconds 0 --trace 1 | tail -n 1)"
+case "$verdict" in
+  *'"correct": true'*) ;;
+  *) echo "hostbench: a traced job diverged from System: $verdict" >&2
+     exit 1 ;;
+esac
 
 echo
 echo "all checks passed."
