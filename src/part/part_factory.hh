@@ -39,8 +39,8 @@ struct PartitionInit
 const std::vector<std::string> &partitionPolicyNames();
 
 /**
- * Build a policy: "none", "ubp", "dbp" or "mcp". fatal()s on unknown
- * names.
+ * Build a policy: "none", "ubp", "dbp", "mcp" or "dbp-mcp". fatal()s
+ * on unknown names.
  */
 std::unique_ptr<PartitionPolicy>
 makePartitionPolicy(const std::string &name, const PartitionInit &init);

@@ -29,7 +29,7 @@ class PartitionPolicy
   public:
     virtual ~PartitionPolicy() = default;
 
-    /** Policy name ("none", "ubp", "dbp", "mcp"). */
+    /** Policy name ("none", "ubp", "dbp", "mcp", "dbp-mcp"). */
     virtual std::string name() const = 0;
 
     /** Assignment to apply before any profile exists. */
