@@ -33,6 +33,25 @@ geo()
     return g;
 }
 
+/** Records every issued command. */
+class CommandLog : public CommandObserver
+{
+  public:
+    void onCommand(const CmdEvent &ev) override { events.push_back(ev); }
+
+    /** Cycle of the first @p cmd to @p bank; kNeverCycle if none. */
+    Cycle
+    first(DramCmd cmd, unsigned bank) const
+    {
+        for (const CmdEvent &ev : events)
+            if (ev.cmd == cmd && ev.bank == bank)
+                return ev.cycle;
+        return kNeverCycle;
+    }
+
+    std::vector<CmdEvent> events;
+};
+
 /** Records completions. */
 class Catcher : public MemClient
 {
@@ -421,6 +440,41 @@ TEST_F(ControllerFixture, MigrationCostBlocksServicing)
     // Bank 1's read (tag 1) finishes first despite equal age.
     EXPECT_EQ(cat.completed[0], 1u);
     EXPECT_EQ(cat.completed[1], 0u);
+}
+
+TEST_F(ControllerFixture, ReadEnqueuedWhileOthersWaitIssuesOnTime)
+{
+    // Bank 0's read is activated at cycle 0 and then waits out tRCD.
+    // A read to bank 1 arriving at cycle 3 is activated as soon as
+    // tRRD allows, not when bank 0's column command next issues.
+    CommandLog log;
+    mc_->setCommandObserver(&log);
+    Catcher cat;
+    ASSERT_TRUE(mc_->enqueueRead(addr(0, 5), 0, &cat, 0, 0));
+    while (now_ < 3)
+        mc_->tick(now_++);
+    ASSERT_TRUE(mc_->enqueueRead(addr(1, 5), 0, &cat, 1, now_));
+    runUntil(cat, 2);
+    ASSERT_EQ(cat.completed.size(), 2u);
+    EXPECT_EQ(log.first(DramCmd::Activate, 0), 0u);
+    EXPECT_EQ(log.first(DramCmd::Activate, 1),
+              std::max<Cycle>(3, timing_.tRRD));
+    EXPECT_EQ(log.first(DramCmd::Read, 0), timing_.tRCD);
+}
+
+TEST_F(ControllerFixture, MigrationCostMovesWaitingReadExactly)
+{
+    CommandLog log;
+    mc_->setCommandObserver(&log);
+    Catcher cat;
+    ASSERT_TRUE(mc_->enqueueRead(addr(0, 5), 0, &cat, 0, 0));
+    while (now_ < 2)
+        mc_->tick(now_++);
+    mc_->applyMigrationCost(0, 0, 2, 20);
+    runUntil(cat, 1);
+    ASSERT_EQ(cat.completed.size(), 1u);
+    EXPECT_EQ(log.first(DramCmd::Activate, 0), 0u);
+    EXPECT_EQ(log.first(DramCmd::Read, 0), 22u);
 }
 
 } // namespace

@@ -48,8 +48,10 @@ class FakeMemory : public CoreMemoryInterface
     issueLoad(ThreadId, Addr vaddr, MemClient *client,
               std::uint64_t tag) override
     {
-        if (!acceptLoads)
+        if (!acceptLoads) {
+            ++loadsRefused;
             return false;
+        }
         loadLog.push_back(vaddr);
         pending.push_back({vaddr, client, tag});
         return true;
@@ -94,6 +96,7 @@ class FakeMemory : public CoreMemoryInterface
     bool acceptLoads = true;
     bool acceptStores = true;
     std::uint64_t storesAccepted = 0;
+    std::uint64_t loadsRefused = 0; ///< issueLoad calls refused.
 };
 
 CoreParams
@@ -330,6 +333,77 @@ TEST(Core, DeterministicAcrossRuns)
         return core.instructionsRetired();
     };
     EXPECT_EQ(run(), run());
+}
+
+// The three head-stalled shapes: each stalled tick counts exactly one
+// head stall, plus one MSHR stall while the MSHR file is full, and
+// the tick after a completion retires.
+
+TEST(Core, HeadStallWithEveryLoadIssuedCountsPerTick)
+{
+    // One line: the first load takes an MSHR, the rest merge into it.
+    ScriptedSource src({{0, 0x0, false}});
+    FakeMemory mem;
+    TraceCore core(0, coreParams(), &src, &mem);
+    for (std::uint64_t i = 1; i <= 50; ++i) {
+        core.tick();
+        ASSERT_EQ(core.statHeadStalls.value(), i);
+        ASSERT_EQ(core.statMshrStalls.value(), 0u);
+    }
+    EXPECT_EQ(mem.loadLog.size(), 1u);
+    EXPECT_EQ(core.instructionsRetired(), 0u);
+
+    mem.completeAll();
+    core.tick();
+    EXPECT_EQ(core.instructionsRetired(), coreParams().issueWidth);
+    EXPECT_EQ(core.statHeadStalls.value(), 50u);
+}
+
+TEST(Core, HeadStallWithFullMshrsCountsBothPerTick)
+{
+    // Distinct lines: four MSHRs fill, the fifth load waits for one.
+    std::vector<TraceRecord> pat;
+    for (int i = 0; i < 64; ++i)
+        pat.push_back({0, static_cast<Addr>(i) * 64, false});
+    ScriptedSource src(pat);
+    FakeMemory mem;
+    TraceCore core(0, coreParams(), &src, &mem);
+    for (std::uint64_t i = 1; i <= 50; ++i) {
+        core.tick();
+        ASSERT_EQ(core.statHeadStalls.value(), i);
+        ASSERT_EQ(core.statMshrStalls.value(), i);
+    }
+    EXPECT_EQ(mem.loadLog.size(), 4u);
+
+    mem.complete(0); // the head's line.
+    core.tick();
+    EXPECT_EQ(core.instructionsRetired(), 1u);
+    EXPECT_EQ(mem.loadLog.size(), 5u); // the freed MSHR is reused.
+}
+
+TEST(Core, RefusedLoadIsRetriedEveryTick)
+{
+    std::vector<TraceRecord> pat;
+    for (int i = 0; i < 64; ++i)
+        pat.push_back({0, static_cast<Addr>(i) * 64, false});
+    ScriptedSource src(pat);
+    FakeMemory mem;
+    mem.acceptLoads = false;
+    TraceCore core(0, coreParams(), &src, &mem);
+    for (std::uint64_t i = 1; i <= 50; ++i) {
+        core.tick();
+        ASSERT_EQ(mem.loadsRefused, i);
+        ASSERT_EQ(core.statHeadStalls.value(), i);
+        ASSERT_EQ(core.statMshrStalls.value(), 0u);
+    }
+
+    mem.acceptLoads = true;
+    core.tick();
+    EXPECT_EQ(mem.loadsRefused, 50u);
+    EXPECT_EQ(mem.loadLog.size(), 4u);
+    mem.completeAll();
+    core.tick();
+    EXPECT_EQ(core.instructionsRetired(), 4u);
 }
 
 } // namespace

@@ -76,6 +76,47 @@ TEST(Profiler, BlpAveragesBusyBanksOverBusyCycles)
     EXPECT_NEAR(profiles[0].blp, (2 * 3 + 1 * 2) / 5.0, 1e-9);
 }
 
+TEST(Profiler, ParallelismSumsAcrossChangesBetweenTicksAndCloses)
+{
+    ThreadProfiler p(2, 4);
+    p.tick(); // nothing outstanding: counts nowhere.
+    p.tick();
+    p.onOutstandingInc(0, 0, 1);
+    p.onOutstandingInc(0, 1, 2);
+    p.onOutstandingInc(0, 3, 5, false); // a store: no row counted.
+    p.tick(); // 3 banks, 3 outstanding, 2 rows, for 3 cycles.
+    p.tick();
+    p.tick();
+    p.onOutstandingInc(0, 2, 9); // starts and ends between ticks.
+    p.onOutstandingDec(0, 2, 9);
+    p.onOutstandingInc(0, 0, 1); // same bank and row again.
+    p.tick(); // 3 banks, 4 outstanding, 2 rows, for 2 cycles.
+    p.tick();
+
+    auto first = p.closeInterval({1000, 1000}, {0, 0});
+    EXPECT_DOUBLE_EQ(first[0].blp, (3 * 3 + 3 * 2) / 5.0);
+    EXPECT_DOUBLE_EQ(first[0].mlp, (3 * 3 + 4 * 2) / 5.0);
+    EXPECT_DOUBLE_EQ(first[0].rowParallelism, (2 * 3 + 2 * 2) / 5.0);
+    EXPECT_DOUBLE_EQ(first[1].blp, 0.0);
+    EXPECT_DOUBLE_EQ(first[1].mlp, 0.0);
+
+    p.onOutstandingDec(0, 1, 2);
+    p.onOutstandingDec(0, 3, 5, false);
+    p.tick(); // 1 bank, 2 outstanding, 1 row, for 4 cycles.
+    p.tick();
+    p.tick();
+    p.tick();
+    p.onOutstandingDec(0, 0, 1);
+    p.tick(); // 1 bank, 1 outstanding, 1 row.
+    p.onOutstandingDec(0, 0, 1);
+    p.tick(); // idle again.
+
+    auto second = p.closeInterval({1000, 1000}, {0, 0});
+    EXPECT_DOUBLE_EQ(second[0].blp, (1 * 4 + 1) / 5.0);
+    EXPECT_DOUBLE_EQ(second[0].mlp, (2 * 4 + 1) / 5.0);
+    EXPECT_DOUBLE_EQ(second[0].rowParallelism, (1 * 4 + 1) / 5.0);
+}
+
 TEST(Profiler, MultipleRequestsSameBankCountOnce)
 {
     ThreadProfiler p(1, 8);
