@@ -160,6 +160,17 @@ class TraceCore : public MemClient
     unsigned mshrInUse_ = 0;
 
     std::deque<Addr> storeBuffer_;
+
+    /**
+     * Asleep after a tick that left a full window, an empty store
+     * buffer and an incomplete load at the head, with every window
+     * load issued or the issue attempt stopped on a full MSHR file.
+     * Until a readComplete() every tick would then only count a head
+     * stall (and the same MSHR stall), so tick() counts them and
+     * returns.
+     */
+    bool asleep_ = false;
+    bool asleepOnMshrs_ = false; ///< asleep with the MSHR file full.
 };
 
 } // namespace dbpsim

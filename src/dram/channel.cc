@@ -40,66 +40,42 @@ DramChannel::DramChannel(const DramGeometry &geom, const DramTiming &timing,
         b.subs.resize(subarraysPerBank_);
 }
 
-const BankState &
-DramChannel::bank(unsigned rank, unsigned bank_idx) const
-{
-    DBP_ASSERT(rank < ranks_.size(), "rank out of range");
-    DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
-    return bankAt(rank, bank_idx);
-}
-
-const RankState &
-DramChannel::rank(unsigned rank_idx) const
-{
-    DBP_ASSERT(rank_idx < ranks_.size(), "rank out of range");
-    return ranks_[rank_idx];
-}
-
-bool
-DramChannel::rowOpen(unsigned rank, unsigned bank_idx,
-                     std::uint64_t row) const
-{
-    const SubarrayState &s = bank(rank, bank_idx).subs[subarrayOf(row)];
-    return s.open && s.row == row;
-}
-
-bool
-DramChannel::fawBlocked(const RankState &r, Cycle now) const
+Cycle
+DramChannel::fawReadyAt(const RankState &r) const
 {
     if (r.actWindowFill < 4)
-        return false;
+        return 0;
     // The oldest of the last four ACTs is at actWindowPtr (next to be
     // overwritten). A fifth ACT must wait tFAW after it.
-    Cycle oldest = r.actWindow[r.actWindowPtr];
-    return now < oldest + timing_.tFAW;
+    return r.actWindow[r.actWindowPtr] + timing_.tFAW;
 }
 
-bool
-DramChannel::dataBusOk(unsigned rank, bool is_write, Cycle now) const
+Cycle
+DramChannel::dataBusReadyAt(unsigned rank, bool is_write) const
 {
-    Cycle data_start = now + (is_write ? timing_.tCWL : timing_.tCL);
+    // The burst starts tCL (tCWL) after the command and must find the
+    // bus free, plus tRTRS when the rank or direction switches.
     Cycle required = dataBusFreeAt_;
     bool switch_penalty = lastDataRank_ >= 0 &&
         (static_cast<unsigned>(lastDataRank_) != rank ||
          lastDataWrite_ != is_write);
     if (switch_penalty)
         required += timing_.tRTRS;
-    return data_start >= required;
+    const Cycle latency = is_write ? timing_.tCWL : timing_.tCL;
+    return required > latency ? required - latency : 0;
 }
 
 void
-DramChannel::occupyDataBus(unsigned rank, bool is_write, Cycle data_start,
-                           Cycle data_end)
+DramChannel::occupyDataBus(unsigned rank, bool is_write, Cycle data_end)
 {
-    (void)data_start;
     dataBusFreeAt_ = data_end;
     lastDataRank_ = static_cast<int>(rank);
     lastDataWrite_ = is_write;
 }
 
-bool
-DramChannel::canIssue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
-                      std::uint64_t row, Cycle now) const
+Cycle
+DramChannel::readyAt(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
+                     std::uint64_t row) const
 {
     DBP_ASSERT(rank_idx < ranks_.size(), "rank out of range");
     const RankState &r = ranks_[rank_idx];
@@ -109,9 +85,8 @@ DramChannel::canIssue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
 
     // A refreshing rank accepts nothing until tRFC elapses. (Subarray
     // nextActivate is also pushed out by refresh, but column commands
-    // and precharges must be blocked explicitly.)
-    if (r.refreshing(now))
-        return false;
+    // and precharges must be held back explicitly.)
+    const Cycle refreshed = r.refreshDoneAt;
 
     switch (cmd) {
       case DramCmd::Activate: {
@@ -122,13 +97,13 @@ DramChannel::canIssue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         // precharge (its nextActivate is not consulted), but every
         // subarray must at least have been issued its PRE.
         if (salp_ == SalpMode::Masa ? s.open : b.open())
-            return false;
-        return now >= s.nextActivate && now >= r.nextActivate &&
-               !fawBlocked(r, now);
+            return kNeverCycle;
+        return std::max({refreshed, s.nextActivate, r.nextActivate,
+                         fawReadyAt(r)});
       }
       case DramCmd::Precharge: {
         const BankState &b = bankAt(rank_idx, bank_idx);
-        return now >= b.subs[subarrayOf(row)].nextPrecharge;
+        return std::max(refreshed, b.subs[subarrayOf(row)].nextPrecharge);
       }
       case DramCmd::Read:
       case DramCmd::ReadAp:
@@ -137,43 +112,47 @@ DramChannel::canIssue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         const BankState &b = bankAt(rank_idx, bank_idx);
         const unsigned si = subarrayOf(row);
         const SubarrayState &s = b.subs[si];
-        if (!s.open || s.row != row)
-            return false;
         // Only the designated subarray drives the global bitlines. An
         // ACT designates its own subarray at once, so outside MASA
         // (no SA_SEL) every open subarray is the designated one.
-        if (b.designated != si || now < b.designateReadyAt)
-            return false;
+        if (!s.open || s.row != row || b.designated != si)
+            return kNeverCycle;
         if (cmd == DramCmd::Read || cmd == DramCmd::ReadAp)
-            return now >= s.nextRead && now >= r.nextRead &&
-                   now >= nextColCmd_ && dataBusOk(rank_idx, false, now);
-        return now >= s.nextWrite && now >= nextColCmd_ &&
-               dataBusOk(rank_idx, true, now);
+            return std::max({refreshed, b.designateReadyAt, s.nextRead,
+                             r.nextRead, nextColCmd_,
+                             dataBusReadyAt(rank_idx, false)});
+        return std::max({refreshed, b.designateReadyAt, s.nextWrite,
+                         nextColCmd_, dataBusReadyAt(rank_idx, true)});
       }
       case DramCmd::SaSel: {
         if (salp_ != SalpMode::Masa)
-            return false;
+            return kNeverCycle;
         const BankState &b = bankAt(rank_idx, bank_idx);
         const SubarrayState &s = b.subs[subarrayOf(row)];
         if (!s.open || s.row != row)
-            return false;
-        return now >= b.designateReadyAt; // relinks serialize.
+            return kNeverCycle;
+        // Relinks serialize.
+        return std::max(refreshed, b.designateReadyAt);
       }
       case DramCmd::Refresh: {
         // Every subarray of every bank closed and past its precharge
         // recovery (tRP folded into nextActivate by the PRE effect).
+        Cycle ready = refreshed;
         for (unsigned b = 0; b < banksPerRank_; ++b) {
             const BankState &bs = bankAt(rank_idx, b);
-            if (bs.open() || now < bs.nextActivate())
-                return false;
+            if (bs.open())
+                return kNeverCycle;
+            ready = std::max(ready, bs.nextActivate());
         }
-        return true;
+        return ready;
       }
       case DramCmd::RefreshBank: {
         // Like an ACT slot: the target bank must be closed and past
         // its precharge recovery; other banks are unaffected.
         const BankState &b = bankAt(rank_idx, bank_idx);
-        return !b.open() && now >= b.nextActivate();
+        if (b.open())
+            return kNeverCycle;
+        return std::max(refreshed, b.nextActivate());
       }
     }
     DBP_PANIC("unreachable DramCmd");
@@ -199,6 +178,7 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         ev.tid = tid;
         observer_->onCommand(ev);
     }
+    ++generation_;
 
     RankState &r = ranks_[rank_idx];
 
@@ -241,7 +221,7 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         SubarrayState &s = bankAt(rank_idx, bank_idx).subs[subarrayOf(row)];
         Cycle data_start = now + timing_.tCL;
         Cycle data_end = data_start + timing_.tBURST;
-        occupyDataBus(rank_idx, false, data_start, data_end);
+        occupyDataBus(rank_idx, false, data_end);
         nextColCmd_ = now + timing_.tCCD;
         s.nextPrecharge = std::max(s.nextPrecharge, now + timing_.tRTP);
         if (cmd == DramCmd::ReadAp) {
@@ -258,7 +238,7 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         SubarrayState &s = bankAt(rank_idx, bank_idx).subs[subarrayOf(row)];
         Cycle data_start = now + timing_.tCWL;
         Cycle data_end = data_start + timing_.tBURST;
-        occupyDataBus(rank_idx, true, data_start, data_end);
+        occupyDataBus(rank_idx, true, data_end);
         nextColCmd_ = now + timing_.tCCD;
         if (salp_ == SalpMode::Salp2 || salp_ == SalpMode::Masa) {
             // SALP-2's second row-address latch (MASA has it too):
@@ -316,6 +296,7 @@ DramChannel::blockBank(unsigned rank_idx, unsigned bank_idx, Cycle now,
 {
     DBP_ASSERT(rank_idx < ranks_.size(), "rank out of range");
     DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
+    ++generation_;
     occupyBank(bankAt(rank_idx, bank_idx), now + busy);
 }
 

@@ -4,10 +4,11 @@
  * command and data buses, and the full DDR3 timing rule set.
  *
  * The memory controller drives this model: each memory-bus cycle it
- * may ask whether a command is legal (canIssue) and then issue it.
- * issue() updates all affected earliest-next-command times and, for
- * column commands, returns the cycle at which the data burst finishes
- * (when read data is available to the requester).
+ * may ask when a command becomes legal (readyAt; canIssue is the same
+ * rule at one cycle) and then issue it. issue() updates all affected
+ * earliest-next-command times and, for column commands, returns the
+ * cycle at which the data burst finishes (when read data is available
+ * to the requester).
  *
  * Every bank is an array of subarrays (bank.hh) and one rule set
  * covers all SALP modes: salp=none builds one subarray per bank, on
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "check/observer.hh"
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/addr_map.hh"
@@ -66,15 +68,29 @@ class DramChannel
                 unsigned channel_id, SalpMode salp = SalpMode::None);
 
     /**
-     * Is @p cmd legal at cycle @p now?
+     * The first bus cycle at which @p cmd is legal if no other command
+     * issues first: the latest of the rank's refresh end and every
+     * timing bound that applies (tRRD/tFAW, the subarray's next*
+     * times, tCCD, the data bus with its rank/direction switch). It is
+     * kNeverCycle when bank state rules the command out: a column
+     * command or SA_SEL whose row is not open (or, for a column
+     * command, not designated), an ACT to an open bank (subarray under
+     * MASA), an SA_SEL outside MASA, a refresh of an open bank.
      *
      * For Read/Write/ReadAp/WriteAp, @p row must equal the open row.
-     * For Refresh, @p bank is ignored. Commands to a refreshing rank
-     * are illegal until the refresh completes. @p row also selects the
-     * target subarray (Precharge and SaSel included).
+     * For Refresh, @p bank is ignored. @p row also selects the target
+     * subarray (Precharge and SaSel included).
      */
-    bool canIssue(DramCmd cmd, unsigned rank, unsigned bank,
-                  std::uint64_t row, Cycle now) const;
+    Cycle readyAt(DramCmd cmd, unsigned rank, unsigned bank,
+                  std::uint64_t row) const;
+
+    /** Is @p cmd legal at cycle @p now? (readyAt() is the one rule.) */
+    bool
+    canIssue(DramCmd cmd, unsigned rank, unsigned bank, std::uint64_t row,
+             Cycle now) const
+    {
+        return readyAt(cmd, rank, bank, row) <= now;
+    }
 
     /**
      * Issue @p cmd at cycle @p now; must be legal (checked).
@@ -96,15 +112,37 @@ class DramChannel
      */
     void setObserver(CommandObserver *observer) { observer_ = observer; }
 
+    /**
+     * Bumped by every change to channel state, i.e. by issue() and
+     * blockBank(): a readyAt() answer holds while it is unchanged.
+     */
+    std::uint64_t generation() const { return generation_; }
+
     /** Read-only bank state: its subarrays and the bank-level views
      *  (for the controller, refresh engine and tests). */
-    const BankState &bank(unsigned rank, unsigned bank_idx) const;
+    const BankState &
+    bank(unsigned rank, unsigned bank_idx) const
+    {
+        DBP_ASSERT(rank < ranks_.size(), "rank out of range");
+        DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
+        return bankAt(rank, bank_idx);
+    }
 
     /** Read-only rank state (for tests). */
-    const RankState &rank(unsigned rank_idx) const;
+    const RankState &
+    rank(unsigned rank_idx) const
+    {
+        DBP_ASSERT(rank_idx < ranks_.size(), "rank out of range");
+        return ranks_[rank_idx];
+    }
 
     /** True iff row @p row is open in the given bank. */
-    bool rowOpen(unsigned rank, unsigned bank_idx, std::uint64_t row) const;
+    bool
+    rowOpen(unsigned rank, unsigned bank_idx, std::uint64_t row) const
+    {
+        const SubarrayState &s = bank(rank, bank_idx).subs[subarrayOf(row)];
+        return s.open && s.row == row;
+    }
 
     /** Channel id. */
     unsigned id() const { return id_; }
@@ -146,8 +184,9 @@ class DramChannel
     /// @}
 
   private:
-    /** Data-bus availability for a column command issued at @p now. */
-    bool dataBusOk(unsigned rank, bool is_write, Cycle now) const;
+    /** First cycle a column command to @p rank may issue so that its
+     *  burst finds the data bus free. */
+    Cycle dataBusReadyAt(unsigned rank, bool is_write) const;
 
     /** State of one bank (unchecked indices). */
     BankState &bankAt(unsigned rank_idx, unsigned bank_idx)
@@ -163,12 +202,11 @@ class DramChannel
      *  migration cost). */
     void occupyBank(BankState &b, Cycle until);
 
-    /** Record a data burst occupying the bus. */
-    void occupyDataBus(unsigned rank, bool is_write, Cycle data_start,
-                       Cycle data_end);
+    /** Record a data burst occupying the bus until @p data_end. */
+    void occupyDataBus(unsigned rank, bool is_write, Cycle data_end);
 
-    /** True iff a 5th ACT in the tFAW window would be premature. */
-    bool fawBlocked(const RankState &r, Cycle now) const;
+    /** First cycle an ACT to @p r fits the tFAW four-activate window. */
+    Cycle fawReadyAt(const RankState &r) const;
 
     DramTiming timing_;
     unsigned id_;
@@ -180,6 +218,8 @@ class DramChannel
     std::vector<BankState> banks_; ///< [rank * banksPerRank_ + bank].
 
     CommandObserver *observer_ = nullptr; ///< protocol checker hook.
+
+    std::uint64_t generation_ = 0; ///< see generation().
 
     Cycle nextColCmd_ = 0;     ///< tCCD between column commands.
     Cycle dataBusFreeAt_ = 0;  ///< end of last data burst.

@@ -47,26 +47,15 @@ RefreshEngine::RefreshEngine(DramChannel &channel,
 {
     DBP_ASSERT(params_.postponeMax >= 1,
                "refresh postpone window must be >= 1");
-    blocked_.assign(channel_.numRanks(),
-                    std::vector<char>(channel_.numBanks(), 0));
+    blocked_.assign(std::size_t{channel_.numRanks()} * channel_.numBanks(),
+                    0);
     boost_ = blocked_;
     // Stagger the deadlines evenly across the channel so refreshes
     // spread over tREFI instead of bursting.
     units_.resize(std::size_t{channel_.numRanks()} * unitsPerRank_);
     for (std::size_t u = 0; u < units_.size(); ++u)
         units_[u].dueAt = trefi_ * (u + 1) / units_.size();
-}
-
-bool
-RefreshEngine::blocks(unsigned rank, unsigned bank) const
-{
-    return blocked_.at(rank).at(bank) != 0;
-}
-
-bool
-RefreshEngine::drainBoost(unsigned rank, unsigned bank) const
-{
-    return boost_.at(rank).at(bank) != 0;
+    firstDue_ = units_.front().dueAt;
 }
 
 const RefreshEngine::Unit &
@@ -134,6 +123,10 @@ RefreshEngine::refresh(unsigned rank, unsigned i, Cycle now)
     Unit &u = units_[std::size_t{rank} * unitsPerRank_ + i];
     u.dueAt += trefi_;
     u.lastAt = now;
+    firstDue_ = std::min_element(units_.begin(), units_.end(),
+                                 [](const Unit &a, const Unit &b) {
+                                     return a.dueAt < b.dueAt;
+                                 })->dueAt;
 }
 
 inline bool
@@ -159,8 +152,7 @@ RefreshEngine::drainable(unsigned rank, unsigned i, Cycle now) const
 }
 
 inline void
-RefreshEngine::mark(std::vector<char> &rank_mask, unsigned i,
-                    char value) const
+RefreshEngine::mark(char *rank_mask, unsigned i, char value) const
 {
     for (unsigned b = i * unitBanks_; b < (i + 1) * unitBanks_; ++b)
         rank_mask[b] = value;
@@ -172,14 +164,17 @@ RefreshEngine::tick(Cycle now)
     if (params_.mode == RefreshMode::None)
         return false;
     const bool aware = params_.aware;
+    if (!aware && now < firstDue_)
+        return false;
     const unsigned none = unitsPerRank_;
+    const unsigned banks = channel_.numBanks();
     bool issued = false; // at most one command per cycle.
     for (unsigned r = 0; r < channel_.numRanks(); ++r) {
-        std::vector<char> &blocked = blocked_[r];
-        std::vector<char> &boost = boost_[r];
-        std::fill(blocked.begin(), blocked.end(), 0);
+        char *blocked = &blocked_[std::size_t{r} * banks];
+        char *boost = &boost_[std::size_t{r} * banks];
+        std::fill(blocked, blocked + banks, 0);
         if (aware)
-            std::fill(boost.begin(), boost.end(), 0);
+            std::fill(boost, boost + banks, 0);
         if (channel_.rank(r).refreshing(now))
             continue;
         const Unit *units = &units_[std::size_t{r} * unitsPerRank_];

@@ -126,7 +126,11 @@ class RefreshEngine
      * an all-bank drain, only the target bank in per-bank mode.
      * Valid for the cycle of the last tick().
      */
-    bool blocks(unsigned rank, unsigned bank) const;
+    bool
+    blocks(unsigned rank, unsigned bank) const
+    {
+        return blocked_[rank * channel_.numBanks() + bank] != 0;
+    }
 
     /**
      * Aware mode: true when (rank, bank) should be *drained with
@@ -134,7 +138,11 @@ class RefreshEngine
      * The controller boosts such requests so the bank goes idle before
      * the refresh turns urgent. Always false when not aware.
      */
-    bool drainBoost(unsigned rank, unsigned bank) const;
+    bool
+    drainBoost(unsigned rank, unsigned bank) const
+    {
+        return boost_[rank * channel_.numBanks() + bank] != 0;
+    }
 
     /**
      * @name The schedule of the unit covering (rank, bank): the rank
@@ -190,7 +198,7 @@ class RefreshEngine
     unsigned drainable(unsigned rank, unsigned i, Cycle now) const;
 
     /** Set unit @p i's banks in one rank's @p rank_mask to @p value. */
-    void mark(std::vector<char> &rank_mask, unsigned i, char value) const;
+    void mark(char *rank_mask, unsigned i, char value) const;
 
     DramChannel &channel_;
     const RefreshDemandView *demand_;
@@ -207,11 +215,19 @@ class RefreshEngine
     /** Unit schedules, [rank * unitsPerRank_ + i]. */
     std::vector<Unit> units_;
 
-    /** Hold-back masks recomputed by tick(), [rank][bank]. */
-    std::vector<std::vector<char>> blocked_;
+    /**
+     * The earliest unit deadline, kept by refresh(). Before it an
+     * engine that is not aware forces nothing, so tick() returns at
+     * once: the masks are all clear then, since a mask set by a
+     * forced unit stays set only while that unit is owed.
+     */
+    Cycle firstDue_ = 0;
 
-    /** Aware-mode drain-priority masks, [rank][bank]. */
-    std::vector<std::vector<char>> boost_;
+    /** Hold-back masks recomputed by tick(), [rank * banks + bank]. */
+    std::vector<char> blocked_;
+
+    /** Aware-mode drain-priority masks, [rank * banks + bank]. */
+    std::vector<char> boost_;
 };
 
 } // namespace dbpsim

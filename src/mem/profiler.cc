@@ -28,6 +28,7 @@ ThreadProfiler::ThreadProfiler(unsigned num_threads, unsigned num_colors)
     mlpCycles_.assign(num_threads, 0);
     drpSum_.assign(num_threads, 0);
     drpCycles_.assign(num_threads, 0);
+    settledAt_.assign(num_threads, 0);
 }
 
 std::size_t
@@ -62,11 +63,33 @@ rowKey(unsigned color, std::uint64_t row)
 } // namespace
 
 void
+ThreadProfiler::settle(std::size_t t)
+{
+    const std::uint64_t cycles = ticks_ - settledAt_[t];
+    settledAt_[t] = ticks_;
+    if (cycles == 0)
+        return;
+    if (busyBanks_[t] > 0) {
+        blpSum_[t] += cycles * busyBanks_[t];
+        blpCycles_[t] += cycles;
+    }
+    if (totalOutstanding_[t] > 0) {
+        mlpSum_[t] += cycles * totalOutstanding_[t];
+        mlpCycles_[t] += cycles;
+    }
+    if (busyRows_[t] > 0) {
+        drpSum_[t] += cycles * busyRows_[t];
+        drpCycles_[t] += cycles;
+    }
+}
+
+void
 ThreadProfiler::onOutstandingInc(ThreadId tid, unsigned color,
                                  std::uint64_t row, bool count_rows)
 {
     std::size_t t = idx(tid);
     DBP_ASSERT(color < numColors_, "profiler: color out of range");
+    settle(t);
     std::size_t slot = t * numColors_ + color;
     if (outstanding_[slot]++ == 0)
         ++busyBanks_[t];
@@ -82,6 +105,7 @@ ThreadProfiler::onOutstandingDec(ThreadId tid, unsigned color,
     std::size_t t = idx(tid);
     DBP_ASSERT(color < numColors_, "profiler: color out of range");
     std::size_t slot = t * numColors_ + color;
+    settle(t);
     DBP_ASSERT(outstanding_[slot] > 0,
                "profiler: outstanding underflow t" << tid << " c" << color);
     if (--outstanding_[slot] == 0) {
@@ -104,25 +128,6 @@ ThreadProfiler::onOutstandingDec(ThreadId tid, unsigned color,
     }
 }
 
-void
-ThreadProfiler::tick()
-{
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (busyBanks_[t] > 0) {
-            blpSum_[t] += busyBanks_[t];
-            ++blpCycles_[t];
-        }
-        if (totalOutstanding_[t] > 0) {
-            mlpSum_[t] += totalOutstanding_[t];
-            ++mlpCycles_[t];
-        }
-        if (busyRows_[t] > 0) {
-            drpSum_[t] += busyRows_[t];
-            ++drpCycles_[t];
-        }
-    }
-}
-
 unsigned
 ThreadProfiler::busyBanks(ThreadId tid) const
 {
@@ -141,6 +146,7 @@ ThreadProfiler::closeInterval(
 
     std::vector<ThreadMemProfile> out(numThreads_);
     for (unsigned t = 0; t < numThreads_; ++t) {
+        settle(t);
         ThreadMemProfile &p = out[t];
         p.requests = reqs_[t];
         p.instructions = instructions[t];
