@@ -62,6 +62,20 @@ void emit(LogLevel level, const char *tag, const std::string &msg);
 /** Exit(1) with a message: user/configuration error. */
 [[noreturn]] void fatalImpl(const std::string &msg);
 
+/**
+ * DBP_ASSERT's failure path, out of line so a check costs its call
+ * site one compare and branch: @p write streams the message.
+ */
+template <typename Write>
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *file, int line, const char *cond, Write &&write)
+{
+    std::ostringstream os;
+    os << "assertion '" << cond << "' failed: ";
+    write(os);
+    panicImpl(file, line, os.str());
+}
+
 } // namespace detail
 
 /** Report a user/configuration error and exit. */
@@ -114,11 +128,12 @@ debugLog(Args &&...args)
  */
 #define DBP_ASSERT(cond, msg)                                              \
     do {                                                                   \
-        if (!(cond)) {                                                     \
-            std::ostringstream dbp_assert_os_;                             \
-            dbp_assert_os_ << "assertion '" #cond "' failed: " << msg;     \
-            ::dbpsim::detail::panicImpl(__FILE__, __LINE__,                \
-                                        dbp_assert_os_.str());             \
+        if (!(cond)) [[unlikely]] {                                        \
+            ::dbpsim::detail::assertFailed(                                \
+                __FILE__, __LINE__, #cond,                                 \
+                [&](std::ostream &dbp_assert_os_) {                        \
+                    dbp_assert_os_ << msg;                                 \
+                });                                                        \
         }                                                                  \
     } while (0)
 
