@@ -58,12 +58,27 @@ runAloneBaseline(const RunConfig &rc, const std::string &app)
     System system(params, sources);
     std::vector<double> ipc = system.runAndMeasure(rc.warmupCpu,
                                                    rc.measureCpu);
+    requireMeasuredIpc(rc, "alone " + app, {app}, ipc);
     system.closeIntervalNow();
 
     AloneBaseline out;
     out.ipc = ipc.at(0);
     out.profile = system.lastIntervalProfiles().at(0);
     return out;
+}
+
+void
+requireMeasuredIpc(const RunConfig &rc, const std::string &job,
+                   const std::vector<std::string> &apps,
+                   const std::vector<double> &ipc)
+{
+    for (std::size_t t = 0; t < ipc.size(); ++t)
+        if (ipc[t] == 0.0)
+            fatal("job ", job, ": thread ", t, " (", apps.at(t),
+                  ") retired no instruction in the measured window of ",
+                  rc.measureCpu, " CPU cycles after ", rc.warmupCpu,
+                  " of warmup; lengthen measure= so every thread "
+                  "retires at least one");
 }
 
 double

@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "mem/thread_profile.hh"
 
@@ -58,6 +59,15 @@ std::uint64_t jobSeed(std::uint64_t seed_base, const std::string &mix,
  */
 AloneBaseline runAloneBaseline(const RunConfig &rc,
                                const std::string &app);
+
+/**
+ * fatal() unless each thread of @p job (running @p apps[i]) retired
+ * an instruction in @p rc's measured window: a zero IPC has no
+ * speedup or slowdown, and only a longer window gives it one.
+ */
+void requireMeasuredIpc(const RunConfig &rc, const std::string &job,
+                        const std::vector<std::string> &apps,
+                        const std::vector<double> &ipc);
 
 /**
  * Alone IPC of @p app with its footprint confined to the first @p

@@ -21,6 +21,7 @@ runMixJob(const RunConfig &rc, const WorkloadMix &mix,
     System system(params, sources);
     std::vector<double> shared = system.runAndMeasure(rc.warmupCpu,
                                                       rc.measureCpu);
+    requireMeasuredIpc(rc, mix.name + "/" + scheme.name, mix.apps, shared);
 
     MixResult result;
     result.mixName = mix.name;

@@ -291,6 +291,7 @@ makeRunConfig(const Config &cfg, const std::vector<std::string> &driver_keys)
         {"tcm_shuffle", b.sched.tcmShuffleInterval},
         {"atlas_quantum", b.sched.atlasQuantum},
         {"parbs_cap", b.sched.parbsMarkingCap},
+        {"interval", b.profileIntervalCpu},
         {"measure", rc.measureCpu},
     };
     for (const auto &[key, value] : at_least_one)

@@ -113,5 +113,23 @@ TEST(Experiment, DeterministicResults)
     EXPECT_DOUBLE_EQ(a.metrics.maxSlowdown, b.metrics.maxSlowdown);
 }
 
+TEST(Experiment, ZeroMeasuredIpcIsFatal)
+{
+    // At this window a W07 thread under DBP retires nothing while
+    // measured: a window too short for the job, which the user must
+    // lengthen, not a simulator bug.
+    Config cfg;
+    cfg.parseToken("warmup=2000");
+    cfg.parseToken("measure=300");
+    const RunConfig rc = makeRunConfig(cfg);
+    EXPECT_EXIT(
+        {
+            AloneBaselineCache baselines;
+            runMixJob(rc, mixByName("W07"), schemeByName("DBP"),
+                      baselines);
+        },
+        ::testing::ExitedWithCode(1), "W07/DBP.*lengthen measure=");
+}
+
 } // namespace
 } // namespace dbpsim

@@ -142,6 +142,7 @@ TEST(ParamTable, ValueNoMachineCanBuildIsFatal)
         {"tcm_shuffle", "0"},
         {"atlas_quantum", "0"},
         {"parbs_cap", "0"},
+        {"interval", "0"}, // every CPU cycle would close an interval.
         {"measure", "0"},
     };
     for (const auto &[key, value] : cases) {
