@@ -73,6 +73,15 @@ pins()
         {"W12_Fcfs_SmallCore", "W12", "FCFS",
          "mshrs=4 store_buffer=4 read_queue=16 write_queue=48 check=0",
          0xdd0150103e40a68fULL},
+        // A short tREFI and a 2-deep postpone window force and boost
+        // aware units inside the window; at the defaults no aware
+        // unit is boosted before 6 tREFI, past the window's end.
+        {"W04_Dbp_DarpShortPostpone", "W04", "DBP",
+         "refresh=darp refresh_postpone=2 trefi=1500 salp=salp2 check=1",
+         0xdece162e855c7ec4ULL},
+        {"W10_Tcm_DarpShortPostpone", "W10", "TCM",
+         "refresh=darp refresh_postpone=2 trefi=1500 check=1",
+         0xfa57d36a2fa392dbULL},
     };
     return v;
 }
