@@ -13,10 +13,13 @@
 # Prints, per workload and per end-to-end metric named in
 # BENCHMARK.json (which it only reads), each side's median and
 # quartiles, the change/parent ratio of the medians, the change's
-# wins (ties count for neither side) and whether the gain rule holds:
-# the change wins at least 9 of every 10 pairs and the medians lie
-# further apart than the parent's interquartile range. Every pair's
-# host-time values are printed too.
+# wins (ties count for neither side), whether the gain rule holds (the
+# change wins at least 9 of every 10 pairs and the medians lie further
+# apart than the parent's interquartile range) and a bound verdict:
+# WORSE when the change's median is worse than the parent's by more
+# than the metric's relative bound (bound times the parent median's
+# magnitude), else within. A line per workload names the metrics
+# outside their bound. Every pair's host-time values are printed too.
 #
 # Exits non-zero when a run fails or reports "correct": false or
 # failed > 0, and when the two runs of a pair print different digests
@@ -179,29 +182,37 @@ for workload in workloads:
         cells = ["%s %.4g->%.4g" % (n, pv[n], cv[n]) for n, _, _ in metrics
                  if n not in ratio_metrics]
         print("  seed %s (%s first): %s" % (seed, first, ", ".join(cells)))
-    print("  %-34s %-34s %-34s %7s %6s %5s  %s"
+    print("  %-34s %-34s %-34s %7s %6s %-7s %5s  %s"
           % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
-             "ratio", "bound", "wins", "gain rule"))
+             "ratio", "bound", "verdict", "wins", "gain rule"))
     need = math.ceil(0.9 * pairs)
+    outside = []
     for name, better, bound in metrics:
         p = [r[2][name] for r in runs]
         c = [r[3][name] for r in runs]
         pq, cq = quartiles(p), quartiles(c)
+        slack = bound * abs(pq[1])
         if better == "lower":
             wins = sum(1 for a, b in zip(p, c) if b < a)
             improved = cq[1] < pq[1]
+            worse = cq[1] > pq[1] + slack
         else:
             wins = sum(1 for a, b in zip(p, c) if b > a)
             improved = cq[1] > pq[1]
+            worse = cq[1] < pq[1] - slack
+        if worse:
+            outside.append(name)
         gap = abs(cq[1] - pq[1])
         holds = wins >= need and improved and gap > pq[2] - pq[0]
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
-        print("  %-34s %-34s %-34s %7.4f %6.2f %2d/%-2d  %s"
+        print("  %-34s %-34s %-34s %7.4f %6.2f %-7s %2d/%-2d  %s"
               % ("%s (%s)" % (name, better),
                  "%.4g [%.4g, %.4g]" % (pq[1], pq[0], pq[2]),
                  "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]),
-                 ratio, bound, wins, pairs,
-                 "holds" if holds else "not met"))
+                 ratio, bound, "WORSE" if worse else "within", wins,
+                 pairs, "holds" if holds else "not met"))
+    print("  outside their bound: %s"
+          % (", ".join(outside) if outside else "none"))
     print()
 
 for e in errors:

@@ -55,7 +55,6 @@ RefreshEngine::RefreshEngine(DramChannel &channel,
     units_.resize(std::size_t{channel_.numRanks()} * unitsPerRank_);
     for (std::size_t u = 0; u < units_.size(); ++u)
         units_[u].dueAt = trefi_ * (u + 1) / units_.size();
-    firstDue_ = units_.front().dueAt;
 }
 
 const RefreshEngine::Unit &
@@ -111,9 +110,12 @@ RefreshEngine::idle(unsigned rank, unsigned i) const
 }
 
 inline bool
-RefreshEngine::canRefresh(unsigned rank, unsigned i, Cycle now) const
+RefreshEngine::canRefresh(unsigned rank, unsigned i, Cycle now)
 {
-    return channel_.canIssue(refreshCmd_, rank, i * unitBanks_, 0, now);
+    const Cycle ready =
+        channel_.readyAt(refreshCmd_, rank, i * unitBanks_, 0);
+    wake(ready, now);
+    return ready <= now;
 }
 
 void
@@ -123,10 +125,6 @@ RefreshEngine::refresh(unsigned rank, unsigned i, Cycle now)
     Unit &u = units_[std::size_t{rank} * unitsPerRank_ + i];
     u.dueAt += trefi_;
     u.lastAt = now;
-    firstDue_ = std::min_element(units_.begin(), units_.end(),
-                                 [](const Unit &a, const Unit &b) {
-                                     return a.dueAt < b.dueAt;
-                                 })->dueAt;
 }
 
 inline bool
@@ -139,14 +137,18 @@ RefreshEngine::open(unsigned rank, unsigned i) const
 }
 
 unsigned
-RefreshEngine::drainable(unsigned rank, unsigned i, Cycle now) const
+RefreshEngine::drainable(unsigned rank, unsigned i, Cycle now)
 {
     for (unsigned b = i * unitBanks_; b < (i + 1) * unitBanks_; ++b) {
         const BankState &bs = channel_.bank(rank, b);
+        if (!bs.open())
+            continue;
         // The PRE's row selects the subarray it closes.
-        if (bs.open() &&
-            channel_.canIssue(DramCmd::Precharge, rank, b, bs.row(), now))
+        const Cycle ready =
+            channel_.readyAt(DramCmd::Precharge, rank, b, bs.row());
+        if (ready <= now)
             return b;
+        wake(ready, now);
     }
     return channel_.numBanks();
 }
@@ -161,11 +163,12 @@ RefreshEngine::mark(char *rank_mask, unsigned i, char value) const
 bool
 RefreshEngine::tick(Cycle now)
 {
+    // Every test below that could come out differently later, with
+    // channel and demand unchanged, wakes the engine at that cycle.
+    quietUntil_ = kNeverCycle;
     if (params_.mode == RefreshMode::None)
         return false;
     const bool aware = params_.aware;
-    if (!aware && now < firstDue_)
-        return false;
     const unsigned none = unitsPerRank_;
     const unsigned banks = channel_.numBanks();
     bool issued = false; // at most one command per cycle.
@@ -175,8 +178,11 @@ RefreshEngine::tick(Cycle now)
         std::fill(blocked, blocked + banks, 0);
         if (aware)
             std::fill(boost, boost + banks, 0);
-        if (channel_.rank(r).refreshing(now))
+        const RankState &rank_state = channel_.rank(r);
+        if (rank_state.refreshing(now)) {
+            wake(rank_state.refreshDoneAt, now);
             continue;
+        }
         const Unit *units = &units_[std::size_t{r} * unitsPerRank_];
 
         // Forced pass: the unit forced longest ago must refresh now.
@@ -186,8 +192,13 @@ RefreshEngine::tick(Cycle now)
         Cycle forced_from = 0;
         for (unsigned i = 0; i < none; ++i) {
             const Cycle from = forcedFrom(units[i]);
-            if (aware && now + trefi_ >= from)
-                mark(boost, i, 1);
+            wake(from, now);
+            if (aware) {
+                if (now + trefi_ >= from)
+                    mark(boost, i, 1);
+                else
+                    wake(from - trefi_, now);
+            }
             if (now >= from && (forced == none || from < forced_from)) {
                 forced = i;
                 forced_from = from;
@@ -221,8 +232,15 @@ RefreshEngine::tick(Cycle now)
         for (unsigned i = 0; i < none; ++i) {
             const Cycle due = units[i].dueAt;
             const bool owed = now >= due;
-            if (!owed && due - now >= pullInWindow_)
-                continue; // pull-in credit already banked.
+            if (!owed) {
+                if (due - now >= pullInWindow_) {
+                    // Pull-in credit already banked until the unit
+                    // re-enters the window.
+                    wake(due - pullInWindow_ + 1, now);
+                    continue;
+                }
+                wake(due, now);
+            }
             if (!idle(r, i))
                 continue;
             // Open rows rule the refresh out; test that first, as the
@@ -247,6 +265,8 @@ RefreshEngine::tick(Cycle now)
             issued = true;
         }
     }
+    if (issued)
+        quietUntil_ = now + 1;
     return issued;
 }
 

@@ -33,6 +33,13 @@
  * refresh reaches postponeMax * tREFI, which matters after a pull-in
  * burst has banked credit — so the (postponeMax + 1) * tREFI device
  * window is never exceeded. One tREFI before that it is drain-boosted.
+ *
+ * A tick that issues nothing also says how long it stays quiet:
+ * quietUntil() is the earliest later cycle at which any test it made
+ * could come out differently while the channel and the queued demand
+ * stay as they are. The controller skips tick() until then unless the
+ * channel's generation() or its queue-push count moves; the masks of
+ * the last tick stay valid meanwhile.
  */
 
 #ifndef DBPSIM_DRAM_REFRESH_HH
@@ -121,6 +128,20 @@ class RefreshEngine
     bool tick(Cycle now);
 
     /**
+     * After a tick() that issued nothing: the earliest later cycle at
+     * which a tick could act or set other masks, if the channel's
+     * state and the demand view's answers do not change before then.
+     * Its terms are every unit's forced-from cycle (and when aware its
+     * boost cycle, one tREFI earlier), the aware relaxed pass's
+     * deadlines of units not yet owed and their re-entry into the
+     * pull-in window, a refreshing rank's end of tRFC, and the readyAt
+     * of every REF/REFpb or draining PRE the tick found not yet legal.
+     * kNeverCycle when nothing is pending; now + 1 after a tick that
+     * issued.
+     */
+    Cycle quietUntil() const { return quietUntil_; }
+
+    /**
      * True when the request path must hold back requests to
      * (rank, bank) so a due refresh can start: the whole rank during
      * an all-bank drain, only the target bank in per-bank mode.
@@ -184,8 +205,17 @@ class RefreshEngine
      *  demand view)? */
     bool idle(unsigned rank, unsigned i) const;
 
-    /** Can unit @p i of @p rank refresh at @p now? */
-    bool canRefresh(unsigned rank, unsigned i, Cycle now) const;
+    /** Fold @p at into the quiet horizon if it lies after @p now. */
+    void
+    wake(Cycle at, Cycle now)
+    {
+        if (at > now && at < quietUntil_)
+            quietUntil_ = at;
+    }
+
+    /** Can unit @p i of @p rank refresh at @p now? A REF/REFpb not yet
+     *  legal wakes the engine at its readyAt. */
+    bool canRefresh(unsigned rank, unsigned i, Cycle now);
 
     /** Issue unit @p i's REF/REFpb and advance its deadline. */
     void refresh(unsigned rank, unsigned i, Cycle now);
@@ -194,8 +224,9 @@ class RefreshEngine
     bool open(unsigned rank, unsigned i) const;
 
     /** First open bank of unit @p i that can be precharged at @p now;
-     *  numBanks() when there is none. */
-    unsigned drainable(unsigned rank, unsigned i, Cycle now) const;
+     *  numBanks() when there is none. Each open bank's PRE not yet
+     *  legal wakes the engine at its readyAt. */
+    unsigned drainable(unsigned rank, unsigned i, Cycle now);
 
     /** Set unit @p i's banks in one rank's @p rank_mask to @p value. */
     void mark(char *rank_mask, unsigned i, char value) const;
@@ -215,13 +246,8 @@ class RefreshEngine
     /** Unit schedules, [rank * unitsPerRank_ + i]. */
     std::vector<Unit> units_;
 
-    /**
-     * The earliest unit deadline, kept by refresh(). Before it an
-     * engine that is not aware forces nothing, so tick() returns at
-     * once: the masks are all clear then, since a mask set by a
-     * forced unit stays set only while that unit is owed.
-     */
-    Cycle firstDue_ = 0;
+    /** See quietUntil(); recomputed by every tick(). */
+    Cycle quietUntil_ = 0;
 
     /** Hold-back masks recomputed by tick(), [rank * banks + bank]. */
     std::vector<char> blocked_;

@@ -6,6 +6,24 @@
 
 namespace dbpsim {
 
+namespace {
+
+/** Does a request in @p queue other than @p except want @p row of
+ *  (@p rank, @p bank)? */
+bool
+wantsRow(const std::vector<MemRequest> &queue, unsigned rank,
+         unsigned bank, std::uint64_t row,
+         const MemRequest *except = nullptr)
+{
+    for (const MemRequest &req : queue)
+        if (&req != except && req.coord.rank == rank &&
+            req.coord.bank == bank && req.coord.row == row)
+            return true;
+    return false;
+}
+
+} // namespace
+
 MemoryController::MemoryController(unsigned channel_id,
                                    const AddressMap &map,
                                    const DramTiming &timing,
@@ -15,7 +33,8 @@ MemoryController::MemoryController(unsigned channel_id,
     : map_(map), params_(params),
       channel_(map.geometry(), timing, channel_id, params.salp),
       refresh_(channel_, this, params.refresh), scheduler_(scheduler),
-      profiler_(profiler)
+      profiler_(profiler),
+      subarrays_(static_cast<unsigned>(channel_.bank(0, 0).subs.size()))
 {
     DBP_ASSERT(scheduler_ != nullptr, "controller needs a scheduler");
     DBP_ASSERT(params_.numThreads > 0, "controller needs >= 1 thread");
@@ -30,7 +49,8 @@ MemoryController::MemoryController(unsigned channel_id,
     lastColumnUse_.assign(banks_total, 0);
     bankDemand_.assign(banks_total, 0);
     rankDemand_.assign(channel_.numRanks(), 0);
-    bestHit_.resize(banks_total);
+    scan_.resize(banks_total * subarrays_);
+    preSlots_.reserve(banks_total);
     readQ_.reserve(params_.readQueueSize);
     writeQ_.reserve(params_.writeQueueSize);
     scheduler_->attachQueueView(this);
@@ -218,62 +238,21 @@ MemoryController::updateDrainMode()
         writeMode_ = false;
 }
 
-MemoryController::NextCmd
-MemoryController::nextCommandFor(const MemRequest &req,
-                                 const std::vector<MemRequest> &queue) const
+MemoryController::ScanGroup &
+MemoryController::scanGroup(unsigned rank, unsigned bank, unsigned si)
 {
-    NextCmd next;
-    const BankState &bank = channel_.bank(req.coord.rank, req.coord.bank);
-    const unsigned si = channel_.subarrayOf(req.coord.row);
-    const SubarrayState &target = bank.subs[si];
-    const bool hit = target.open && target.row == req.coord.row;
-    // The row in the way: under MASA only the target subarray's own
-    // row, since other subarrays' open rows never conflict; otherwise
-    // the bank's one open row, whichever subarray holds it.
-    const SubarrayState *occupied = channel_.salpMode() == SalpMode::Masa
-        ? (target.open ? &target : nullptr)
-        : bank.visible();
-
-    if (!occupied) {
-        next.cmd = DramCmd::Activate;
-        next.row = req.coord.row;
-        return next;
+    ScanGroup &g = scan_[bankSlot(rank, bank) * subarrays_ + si];
+    if (g.stamp != scans_) {
+        const SubarrayState &s = channel_.bank(rank, bank).subs[si];
+        g.stamp = scans_;
+        g.open = s.open;
+        g.openRow = s.row;
+        g.hitKnown = false;
+        g.missKnown = false;
+        g.bestHit = nullptr;
+        g.bestPre = nullptr;
     }
-    if (hit && bank.designated != si) {
-        // MASA: row already open locally; relink the global bitlines
-        // instead of precharging. (Outside MASA an open subarray is
-        // always the designated one.)
-        next.cmd = DramCmd::SaSel;
-        next.row = req.coord.row;
-        return next;
-    }
-    if (hit) {
-        bool auto_pre = false;
-        if (params_.pagePolicy == PagePolicy::Closed) {
-            // Auto-precharge unless another queued request still wants
-            // this row.
-            auto_pre = true;
-            for (const auto &other : queue) {
-                if (&other != &req &&
-                    other.coord.rank == req.coord.rank &&
-                    other.coord.bank == req.coord.bank &&
-                    other.coord.row == req.coord.row) {
-                    auto_pre = false;
-                    break;
-                }
-            }
-        }
-        if (req.write)
-            next.cmd = auto_pre ? DramCmd::WriteAp : DramCmd::Write;
-        else
-            next.cmd = auto_pre ? DramCmd::ReadAp : DramCmd::Read;
-        next.row = req.coord.row;
-        return next;
-    }
-    // Conflict: the row buffer holds a different row.
-    next.cmd = DramCmd::Precharge;
-    next.row = occupied->row;
-    return next;
+    return g;
 }
 
 bool
@@ -282,104 +261,162 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
 {
     if (queue.empty())
         return false;
-    if (now < idleUntil_ && channel_.generation() == idleGeneration_ &&
-        pushes_ == idlePushes_ && writes == idleWrites_)
+    if (idle_.holds(now, channel_.generation(), pushes_) &&
+        writes == idleWrites_)
         return false;
 
     SchedContext ctx{channel_, now};
+    ++scans_;
+    preSlots_.clear();
 
-    // Pass 1: per (rank, bank), find the highest-priority queued
-    // request that is a row hit — the precharge guard. A request may
-    // close a row only if it outranks every queued hit on that row.
-    std::fill(bestHit_.begin(), bestHit_.end(), nullptr);
-    for (const auto &req : queue) {
-        if (!ctx.rowHit(req))
-            continue;
-        const MemRequest *&best = bestHit_[bankSlot(req.coord.rank,
-                                                    req.coord.bank)];
-        if (!best || scheduler_->higherPriority(req, *best, ctx))
-            best = &req;
-    }
-
-    // Pass 2: among requests whose next command is legal right now,
-    // pick the highest-priority one. The others give the horizon: the
-    // cycle their command turns legal, or the next cycle for one held
-    // back by a refresh mask or, once legal, by the precharge guard,
-    // since both holds can lift without a command.
-    std::size_t best_idx = queue.size();
-    NextCmd best_cmd;
+    // One pass: among requests whose next command is legal right now,
+    // pick the highest-priority one. A request's command and readiness
+    // are its (bank, subarray) group's, derived once per scan. The
+    // others give the horizon: the cycle their group's command turns
+    // legal, or the next cycle for a slot held back by a refresh mask
+    // or a legal precharge held back by the precharge guard, since
+    // both holds can lift without a command.
+    const MemRequest *best = nullptr;
+    DramCmd best_cmd = DramCmd::Activate;
+    std::uint64_t best_row = 0;
     bool best_boost = false;
     Cycle horizon = kNeverCycle;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const MemRequest &req = queue[i];
-        if (refresh_.blocks(req.coord.rank, req.coord.bank)) {
-            horizon = std::min(horizon, now + 1);
-            continue;
-        }
-        NextCmd nc = nextCommandFor(req, queue);
-        const Cycle ready = channel_.readyAt(nc.cmd, req.coord.rank,
-                                             req.coord.bank, nc.row);
-        if (ready > now) {
-            horizon = std::min(horizon, ready);
-            continue;
-        }
-        if (nc.cmd == DramCmd::Precharge) {
-            const MemRequest *hit =
-                bestHit_[bankSlot(req.coord.rank, req.coord.bank)];
-            if (hit && !scheduler_->higherPriority(req, *hit, ctx)) {
-                // Would destroy a higher-priority row hit.
-                horizon = std::min(horizon, now + 1);
-                continue;
-            }
-        }
+    auto consider = [&](const MemRequest &req, DramCmd cmd,
+                        std::uint64_t row) {
         // Refresh-aware arbitration: requests on a bank whose refresh
         // debt is nearly exhausted drain first, so the bank goes idle
         // before the refresh turns urgent. drainBoost() is always
         // false outside aware mode, leaving the order untouched.
         const bool boost =
             refresh_.drainBoost(req.coord.rank, req.coord.bank);
-        if (best_idx == queue.size() || (boost && !best_boost) ||
+        if (!best || (boost && !best_boost) ||
             (boost == best_boost &&
-             scheduler_->higherPriority(req, queue[best_idx], ctx))) {
-            best_idx = i;
-            best_cmd = nc;
+             scheduler_->higherPriority(req, *best, ctx))) {
+            best = &req;
+            best_cmd = cmd;
+            best_row = row;
             best_boost = boost;
         }
+    };
+    const bool masa = channel_.salpMode() == SalpMode::Masa;
+    for (const MemRequest &req : queue) {
+        const unsigned rank = req.coord.rank;
+        const unsigned bank = req.coord.bank;
+        if (refresh_.blocks(rank, bank)) {
+            horizon = std::min(horizon, now + 1);
+            continue;
+        }
+        const unsigned si = channel_.subarrayOf(req.coord.row);
+        ScanGroup &guard = scanGroup(rank, bank, 0);
+        ScanGroup &g = si == 0 ? guard : scanGroup(rank, bank, si);
+        const bool hit = g.open && g.openRow == req.coord.row;
+        if (hit) {
+            // A row hit. The slot's best one guards its precharges: a
+            // request may close a row only if it outranks every
+            // queued hit of the bank.
+            if (!guard.bestHit ||
+                scheduler_->higherPriority(req, *guard.bestHit, ctx))
+                guard.bestHit = &req;
+            if (!g.hitKnown) {
+                // MASA: a row open in a subarray that is not linked
+                // to the global bitlines is relinked, not
+                // precharged. (Outside MASA an open subarray is
+                // always the designated one.)
+                g.hitCmd = channel_.bank(rank, bank).designated != si
+                    ? DramCmd::SaSel
+                    : writes ? DramCmd::Write : DramCmd::Read;
+                g.hitReady = channel_.readyAt(g.hitCmd, rank, bank,
+                                              req.coord.row);
+                g.hitKnown = true;
+            }
+        } else if (!g.missKnown) {
+            // The row in the way: under MASA only the subarray's own
+            // row, since other subarrays' open rows never conflict;
+            // otherwise the bank's one open row, whichever subarray
+            // holds it.
+            const BankState &bs = channel_.bank(rank, bank);
+            const SubarrayState *occupied = masa
+                ? (g.open ? &bs.subs[si] : nullptr)
+                : bs.visible();
+            g.missCmd = occupied ? DramCmd::Precharge : DramCmd::Activate;
+            g.missRow = occupied ? occupied->row : req.coord.row;
+            g.missReady =
+                channel_.readyAt(g.missCmd, rank, bank, g.missRow);
+            g.missKnown = true;
+        }
+        const DramCmd cmd = hit ? g.hitCmd : g.missCmd;
+        const Cycle ready = hit ? g.hitReady : g.missReady;
+        if (ready > now) {
+            horizon = std::min(horizon, ready);
+            continue;
+        }
+        if (cmd == DramCmd::Precharge) {
+            // Judged against the guard once every hit is known.
+            if (!guard.bestPre)
+                preSlots_.push_back(bankSlot(rank, bank));
+            if (!guard.bestPre ||
+                scheduler_->higherPriority(req, *guard.bestPre, ctx)) {
+                guard.bestPre = &req;
+                guard.bestPreRow = g.missRow;
+            }
+            continue;
+        }
+        // The ACT, SA_SEL or column command names the request's row.
+        consider(req, cmd, req.coord.row);
     }
-    if (best_idx == queue.size()) {
-        idleUntil_ = horizon;
-        idleGeneration_ = channel_.generation();
-        idlePushes_ = pushes_;
+    // A slot's best precharge competes only if it outranks the slot's
+    // best hit. Every order ends in olderFirst, a strict total order,
+    // so if the best one does not, no precharge of the slot does.
+    for (std::size_t slot : preSlots_) {
+        const ScanGroup &guard = scan_[slot * subarrays_];
+        if (guard.bestHit &&
+            !scheduler_->higherPriority(*guard.bestPre, *guard.bestHit,
+                                        ctx)) {
+            // Would destroy a higher-priority row hit.
+            horizon = std::min(horizon, now + 1);
+            continue;
+        }
+        consider(*guard.bestPre, DramCmd::Precharge, guard.bestPreRow);
+    }
+    if (!best) {
+        idle_ = QuietKey{horizon, channel_.generation(), pushes_};
         idleWrites_ = writes;
         return false;
     }
 
+    const std::size_t best_idx =
+        static_cast<std::size_t>(best - queue.data());
     MemRequest &req = queue[best_idx];
     bool row_hit_service = false;
-    switch (best_cmd.cmd) {
+    switch (best_cmd) {
       case DramCmd::Activate:
-        channel_.issue(best_cmd.cmd, req.coord.rank, req.coord.bank,
-                       best_cmd.row, now, req.tid);
+        channel_.issue(best_cmd, req.coord.rank, req.coord.bank,
+                       best_row, now, req.tid);
         req.triggeredAct = true;
         return true;
       case DramCmd::Precharge:
-        channel_.issue(best_cmd.cmd, req.coord.rank, req.coord.bank,
-                       best_cmd.row, now, req.tid);
+        channel_.issue(best_cmd, req.coord.rank, req.coord.bank,
+                       best_row, now, req.tid);
         req.triggeredAct = true; // a conflict service, not a hit.
         return true;
       case DramCmd::SaSel:
         // Relink only; the row stays open, so the later column
         // command still counts as a row-hit service.
-        channel_.issue(best_cmd.cmd, req.coord.rank, req.coord.bank,
-                       best_cmd.row, now, req.tid);
+        channel_.issue(best_cmd, req.coord.rank, req.coord.bank,
+                       best_row, now, req.tid);
         return true;
       case DramCmd::Read:
-      case DramCmd::ReadAp:
-      case DramCmd::Write:
-      case DramCmd::WriteAp: {
-        Cycle done = channel_.issue(best_cmd.cmd, req.coord.rank,
-                                    req.coord.bank, best_cmd.row, now,
-                                    req.tid);
+      case DramCmd::Write: {
+        // Closed page: auto-precharge unless another queued request
+        // still wants this row. RD and RDA (WR and WRA) are legal at
+        // the same cycle.
+        DramCmd cmd = best_cmd;
+        if (params_.pagePolicy == PagePolicy::Closed &&
+            !wantsRow(queue, req.coord.rank, req.coord.bank,
+                      req.coord.row, &req))
+            cmd = writes ? DramCmd::WriteAp : DramCmd::ReadAp;
+        Cycle done = channel_.issue(cmd, req.coord.rank, req.coord.bank,
+                                    best_row, now, req.tid);
         lastColumnUse_[bankSlot(req.coord.rank, req.coord.bank)] = now;
         row_hit_service = !req.triggeredAct;
         if (req.tid >= 0 &&
@@ -418,9 +455,11 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
                     static_cast<std::ptrdiff_t>(best_idx));
         return true;
       }
+      case DramCmd::ReadAp:
+      case DramCmd::WriteAp:
       case DramCmd::Refresh:
       case DramCmd::RefreshBank:
-        DBP_PANIC("refresh cannot come from the request path");
+        DBP_PANIC("a scan never picks " << dramCmdName(best_cmd));
     }
     return false;
 }
@@ -438,22 +477,8 @@ MemoryController::closeIdleRows(Cycle now)
             if (now < last + params_.rowIdleTimeout)
                 continue;
             // Keep the row open while anyone still wants it.
-            bool wanted = false;
-            for (const auto &req : readQ_) {
-                if (req.coord.rank == r && req.coord.bank == b &&
-                    req.coord.row == row) {
-                    wanted = true;
-                    break;
-                }
-            }
-            for (const auto &req : writeQ_) {
-                if (wanted)
-                    break;
-                if (req.coord.rank == r && req.coord.bank == b &&
-                    req.coord.row == row)
-                    wanted = true;
-            }
-            if (wanted)
+            if (wantsRow(readQ_, r, b, row) ||
+                wantsRow(writeQ_, r, b, row))
                 continue;
             // The PRE's row selects the subarray it closes.
             if (channel_.canIssue(DramCmd::Precharge, r, b, row, now)) {
@@ -471,8 +496,14 @@ MemoryController::tick(Cycle now)
 {
     completeReads(now);
 
-    if (refresh_.tick(now))
-        return; // command bus consumed by refresh management.
+    // The engine's masks from its last full tick stay valid while its
+    // quiet horizon holds.
+    if (!refreshQuiet_.holds(now, channel_.generation(), pushes_)) {
+        if (refresh_.tick(now))
+            return; // command bus consumed by refresh management.
+        refreshQuiet_ = QuietKey{refresh_.quietUntil(),
+                                 channel_.generation(), pushes_};
+    }
 
     updateDrainMode();
 

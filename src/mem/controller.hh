@@ -174,11 +174,53 @@ class MemoryController : public QueueView, public RefreshDemandView
     /// @}
 
   private:
-    /** The next DRAM command request @p req needs right now. */
-    struct NextCmd
+    /**
+     * The key of a skipped tick: nothing the skipped work tests can
+     * come out differently before `until` while the channel's
+     * generation() and the count of queue pushes stay as recorded.
+     */
+    struct QuietKey
     {
-        DramCmd cmd = DramCmd::Activate;
-        std::uint64_t row = 0; ///< row argument for issue().
+        Cycle until = 0;
+        std::uint64_t generation = 0;
+        std::uint64_t pushes = 0;
+
+        bool
+        holds(Cycle now, std::uint64_t generation_now,
+              std::uint64_t pushes_now) const
+        {
+            return now < until && generation_now == generation &&
+                   pushes_now == pushes;
+        }
+    };
+
+    /**
+     * issueFromQueue's state for one (bank slot, subarray) group in
+     * the current scan, valid while `stamp` equals scans_ and filled
+     * lazily, at most once per scan. Every queued request of a group
+     * needs the same command kind with the same readiness: a row hit
+     * its column command (SA_SEL under MASA when the subarray is not
+     * designated), a miss a PRE of the row in the way or, with none,
+     * an ACT of its own row. The entry of a slot's subarray 0 also
+     * holds the slot's precharge guard.
+     */
+    struct ScanGroup
+    {
+        std::uint64_t stamp = 0;
+        bool open = false;          ///< the subarray holds a row...
+        std::uint64_t openRow = 0;  ///< ...this one.
+        bool hitKnown = false;      ///< hitCmd/hitReady computed.
+        bool missKnown = false;     ///< missCmd/missRow/missReady too.
+        DramCmd hitCmd = DramCmd::Read;
+        DramCmd missCmd = DramCmd::Activate;
+        std::uint64_t missRow = 0;  ///< the PRE's row.
+        Cycle hitReady = 0;
+        Cycle missReady = 0;
+        /** Slot guard: the best queued row hit and the best legal
+         *  PRE request of the slot, with its PRE's row. */
+        const MemRequest *bestHit = nullptr;
+        const MemRequest *bestPre = nullptr;
+        std::uint64_t bestPreRow = 0;
     };
 
     /** Deliver finished reads at or before @p now. */
@@ -190,14 +232,14 @@ class MemoryController : public QueueView, public RefreshDemandView
     /**
      * Pick and issue one command from @p queue (current mode).
      * Returns true if a command issued. Returns false unscanned while
-     * the last scan that issued nothing still holds (idleUntil_).
+     * the last scan that issued nothing still holds (idle_).
      */
     bool issueFromQueue(std::vector<MemRequest> &queue, bool writes,
                         Cycle now);
 
-    /** Determine @p req's next command under the page policy. */
-    NextCmd nextCommandFor(const MemRequest &req,
-                           const std::vector<MemRequest> &queue) const;
+    /** The current scan's entry of (@p rank, @p bank, subarray
+     *  @p si), reset on its first use in the scan. */
+    ScanGroup &scanGroup(unsigned rank, unsigned bank, unsigned si);
 
     /** Machine-wide color of a coordinate (profiler indexing). */
     unsigned colorOf(const DramCoord &coord) const;
@@ -226,23 +268,37 @@ class MemoryController : public QueueView, public RefreshDemandView
     std::vector<unsigned> bankDemand_;
     std::vector<unsigned> rankDemand_;
 
-    /** issueFromQueue's per-bank best queued row hit (reused). */
-    std::vector<const MemRequest *> bestHit_;
+    unsigned subarrays_; ///< subarrays per bank in the channel.
 
-    /** readQ_/writeQ_ push_backs so far (the idle scan's key). */
+    /** Per-scan group state, [bankSlot * subarrays_ + subarray];
+     *  stamped, never cleared. */
+    std::vector<ScanGroup> scan_;
+    std::uint64_t scans_ = 0; ///< scans so far (the stamps).
+
+    /** Slots with a legal PRE request in the current scan. */
+    std::vector<std::size_t> preSlots_;
+
+    /** readQ_/writeQ_ push_backs so far (both skips' key). */
     std::uint64_t pushes_ = 0;
 
     /**
-     * The last scan that issued nothing: no queued request can issue
-     * before idleUntil_ while the channel's generation, pushes_ and
-     * the drain mode still equal the other three. Exact because a
-     * command's readiness depends only on channel state, a request's
-     * next command only on its bank's state and the queue, and every
-     * erase from a queue issues a command.
+     * The last refresh tick that issued nothing, with
+     * refresh_.quietUntil() as its horizon. Exact because the engine
+     * reads only the cycle, its own schedule (changed only by its own
+     * commands), channel state and the queued demand, whose every
+     * change is a push or an erase that issues a command.
      */
-    Cycle idleUntil_ = 0;
-    std::uint64_t idleGeneration_ = 0;
-    std::uint64_t idlePushes_ = 0;
+    QuietKey refreshQuiet_;
+
+    /**
+     * The last scan that issued nothing: no queued request can issue
+     * before its horizon while the key and the drain mode
+     * (idleWrites_) hold. Exact because a command's readiness depends
+     * only on channel state, a request's next command only on its
+     * bank's state and the queue, and every erase from a queue issues
+     * a command.
+     */
+    QuietKey idle_;
     bool idleWrites_ = false;
 
     /** A read issued to DRAM, waiting for its data burst to finish. */

@@ -3,13 +3,16 @@
  * Memory-controller tests: end-to-end request service through the
  * DRAM FSM, read latencies for hits vs conflicts, write-drain
  * hysteresis, write-to-read forwarding, coalescing, refresh service,
- * backpressure, per-thread accounting, and the per-bank/per-rank
- * demand view the refresh engine reads.
+ * backpressure, per-thread accounting, the per-bank/per-rank
+ * demand view the refresh engine reads, and the precharge guard under
+ * a thread ranking.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -50,6 +53,34 @@ class CommandLog : public CommandObserver
     }
 
     std::vector<CmdEvent> events;
+};
+
+/**
+ * Orders requests by a fixed thread rank (higher first), then row
+ * hit, then age: the shape of TCM's and ATLAS's orders, under which a
+ * conflict can outrank a row hit.
+ */
+class RankingScheduler : public Scheduler
+{
+  public:
+    std::string name() const override { return "ranking"; }
+
+    bool
+    higherPriority(const MemRequest &a, const MemRequest &b,
+                   const SchedContext &ctx) const override
+    {
+        const int ra = threadRank[static_cast<unsigned>(a.tid)];
+        const int rb = threadRank[static_cast<unsigned>(b.tid)];
+        if (ra != rb)
+            return ra > rb;
+        const bool ha = ctx.rowHit(a);
+        const bool hb = ctx.rowHit(b);
+        if (ha != hb)
+            return ha;
+        return olderFirst(a, b);
+    }
+
+    std::vector<int> threadRank = std::vector<int>(4, 0);
 };
 
 /** Records completions. */
@@ -100,6 +131,49 @@ class ControllerFixture : public ::testing::Test
         while (cat.completed.size() < n && now_ < limit)
             mc_->tick(now_++);
         return now_;
+    }
+
+    /** An issued command: what, which bank and row, which thread. */
+    using Issued = std::tuple<DramCmd, unsigned, std::uint64_t, ThreadId>;
+
+    /**
+     * Under @p sched, with rows 5 of bank 0 and 7 of bank 1 open and
+     * both banks ready to precharge, three reads arrive at once:
+     * thread 3 hits bank 1, thread 1 hits bank 0 and thread 2
+     * conflicts with that hit. Thread 3 ranks first, so its RD takes
+     * the column slot and bank 0's hit waits out tCCD while the
+     * conflict's PRE is legal: only the precharge guard decides.
+     * Returns the commands from then on, once every read completed.
+     */
+    std::vector<Issued>
+    rankedHitAndConflict(RankingScheduler &sched)
+    {
+        ControllerParams params;
+        params.numThreads = 4;
+        MemoryController mc(0, map_, timing_, params, &sched, nullptr);
+        CommandLog log;
+        mc.setCommandObserver(&log);
+        Catcher cat;
+        EXPECT_TRUE(mc.enqueueRead(addr(0, 5), 0, &cat, 0, 0));
+        EXPECT_TRUE(mc.enqueueRead(addr(1, 7), 0, &cat, 1, 0));
+        Cycle c = 0;
+        while (!(cat.completed.size() == 2 &&
+                 mc.channel().canIssue(DramCmd::Precharge, 0, 0, 5, c)) &&
+               c < 1000)
+            mc.tick(c++);
+        const std::size_t before = log.events.size();
+        EXPECT_TRUE(mc.enqueueRead(addr(1, 7, 1), 3, &cat, 2, c));
+        EXPECT_TRUE(mc.enqueueRead(addr(0, 5, 1), 1, &cat, 3, c));
+        EXPECT_TRUE(mc.enqueueRead(addr(0, 9), 2, &cat, 4, c));
+        while (cat.completed.size() < 5 && c < 2000)
+            mc.tick(c++);
+        EXPECT_EQ(cat.completed.size(), 5u);
+        std::vector<Issued> cmds;
+        for (std::size_t i = before; i < log.events.size(); ++i) {
+            const CmdEvent &ev = log.events[i];
+            cmds.emplace_back(ev.cmd, ev.bank, ev.row, ev.tid);
+        }
+        return cmds;
     }
 
     AddressMap map_;
@@ -475,6 +549,35 @@ TEST_F(ControllerFixture, MigrationCostMovesWaitingReadExactly)
     ASSERT_EQ(cat.completed.size(), 1u);
     EXPECT_EQ(log.first(DramCmd::Activate, 0), 0u);
     EXPECT_EQ(log.first(DramCmd::Read, 0), 22u);
+}
+
+TEST_F(ControllerFixture, HigherRankedConflictClosesALowerRankedHitsRow)
+{
+    // The conflict outranks the queued hit, so the guard lets its PRE
+    // close the row the hit wants; the hit waits for its own ACT.
+    RankingScheduler sched;
+    sched.threadRank = {0, 1, 2, 3};
+    const std::vector<Issued> expected = {
+        {DramCmd::Read, 1, 7, 3},      {DramCmd::Precharge, 0, 5, 2},
+        {DramCmd::Activate, 0, 9, 2},  {DramCmd::Read, 0, 9, 2},
+        {DramCmd::Precharge, 0, 9, 1}, {DramCmd::Activate, 0, 5, 1},
+        {DramCmd::Read, 0, 5, 1},
+    };
+    EXPECT_EQ(rankedHitAndConflict(sched), expected);
+}
+
+TEST_F(ControllerFixture, HigherRankedHitReadsBeforeTheConflictPrecharges)
+{
+    // With the ranks swapped the hit outranks the conflict: the guard
+    // holds the legal PRE back until the hit's RD has issued.
+    RankingScheduler sched;
+    sched.threadRank = {0, 2, 1, 3};
+    const std::vector<Issued> expected = {
+        {DramCmd::Read, 1, 7, 3},      {DramCmd::Read, 0, 5, 1},
+        {DramCmd::Precharge, 0, 5, 2}, {DramCmd::Activate, 0, 9, 2},
+        {DramCmd::Read, 0, 9, 2},
+    };
+    EXPECT_EQ(rankedHitAndConflict(sched), expected);
 }
 
 } // namespace

@@ -5,16 +5,20 @@
  * engine, per-bank round-robin rotation, the blocking scope of REFpb,
  * DARP-style pull-in and demand-avoiding reorder at both
  * granularities, the issue-to-issue gap bound after a
- * pull-in burst, config plumbing, and campaign determinism of the
+ * pull-in burst, the quiet horizon under random channel traffic,
+ * config plumbing, and campaign determinism of the
  * refresh-mode sweep. Runs under TSan in scripts/check.sh
  * (ctest -R 'Refresh|ProtocolCheck').
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
 
+#include "common/random.hh"
 #include "dram/refresh.hh"
 #include "sim/campaign.hh"
 #include "sim/params.hh"
@@ -331,6 +335,95 @@ TEST(Refresh, GapBoundHoldsAfterPullInBurst)
             for (unsigned b = 0; b < 8; ++b)
                 ASSERT_LE(now - eng.lastRefreshAt(r, b), bound)
                     << "rank " << r << " bank " << b << " at " << now;
+    }
+}
+
+// ---- the quiet horizon ----------------------------------------------
+
+/** Do @p a and @p b agree on every hold-back and drain-boost bit? */
+bool
+sameMasks(const RefreshEngine &a, const RefreshEngine &b,
+          const DramGeometry &g)
+{
+    for (unsigned r = 0; r < g.ranksPerChannel; ++r)
+        for (unsigned bank = 0; bank < g.banksPerRank; ++bank)
+            if (a.blocks(r, bank) != b.blocks(r, bank) ||
+                a.drainBoost(r, bank) != b.drainBoost(r, bank))
+                return false;
+    return true;
+}
+
+TEST(Refresh, QuietHorizonHoldsWhileNothingChanges)
+{
+    // A short tREFI and a 2-deep postpone window bring every unit's
+    // owed, pull-in, boost and forced edges within a few thousand
+    // cycles.
+    DramTiming t = ddr3_1600();
+    t.tREFI = ddr3_1600().tREFI / 8;
+    const DramGeometry g = geo();
+    for (RefreshMode mode : {RefreshMode::AllBank, RefreshMode::PerBank}) {
+        for (bool aware : {false, true}) {
+            SCOPED_TRACE(std::string(refreshModeName(mode)) +
+                         (aware ? " aware" : ""));
+            DramChannel ch(g, t, 0);
+            FakeDemand demand;
+            RefreshParams p;
+            p.mode = mode;
+            p.aware = aware;
+            p.postponeMax = 2;
+            RefreshEngine eng(ch, &demand, p);
+            Rng rng(42);
+            for (Cycle now = 0; now < 12 * t.tREFI; ++now) {
+                if (eng.tick(now))
+                    continue;
+                // With the channel and the demand left alone, every
+                // later tick before quietUntil() must issue nothing
+                // and set the masks this one set.
+                const Cycle quiet = eng.quietUntil();
+                const Cycle until = std::min(quiet, now + 2 * t.tREFI);
+                RefreshEngine copy = eng;
+                for (Cycle c = now + 1; c < until; ++c) {
+                    ASSERT_FALSE(copy.tick(c))
+                        << "issued at " << c << " inside the horizon "
+                        << now << ".." << quiet;
+                    ASSERT_TRUE(sameMasks(copy, eng, g))
+                        << "masks moved at " << c << " inside the horizon "
+                        << now << ".." << quiet;
+                }
+
+                // Then change the demand or the channel, as the
+                // request path does: a legal ACT, RD or PRE to a bank
+                // the engine does not hold back.
+                if (rng.nextBool(0.01)) {
+                    // Demand everywhere, nowhere or on one bank.
+                    const std::uint64_t pick = rng.nextBelow(3);
+                    demand.everywhere = pick == 0;
+                    demand.hotRank = pick == 2
+                        ? static_cast<int>(rng.nextBelow(g.ranksPerChannel))
+                        : -1;
+                    demand.hotBank =
+                        static_cast<int>(rng.nextBelow(g.banksPerRank));
+                }
+                if (!rng.nextBool(0.3))
+                    continue;
+                const auto r =
+                    static_cast<unsigned>(rng.nextBelow(g.ranksPerChannel));
+                const auto b =
+                    static_cast<unsigned>(rng.nextBelow(g.banksPerRank));
+                if (eng.blocks(r, b))
+                    continue;
+                const BankState &bs = ch.bank(r, b);
+                DramCmd cmd = DramCmd::Activate;
+                std::uint64_t row = rng.nextBelow(g.rowsPerBank);
+                if (bs.open()) {
+                    cmd = rng.nextBool(0.5) ? DramCmd::Read
+                                            : DramCmd::Precharge;
+                    row = bs.row();
+                }
+                if (ch.canIssue(cmd, r, b, row, now))
+                    ch.issue(cmd, r, b, row, now);
+            }
+        }
     }
 }
 
