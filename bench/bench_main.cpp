@@ -11,11 +11,9 @@
  * result document per campaign to <out>/<name>.json. The "result
  * digest" printed per campaign hashes only the deterministic sections
  * (jobs + summary), so comparing a --serial run against a --jobs=N
- * run is a one-line diff even though wall-clock fields differ.
- *
- * Alone-run baselines persist to <out>/alone_cache.json keyed by
- * (application, hardware-config hash); a second invocation on the
- * same configuration reloads them instead of re-simulating.
+ * run is a one-line diff even though wall-clock fields differ. The
+ * selected campaigns share one in-memory alone-baseline cache, so each
+ * alone run is simulated once per invocation and never read from disk.
  */
 
 #include <filesystem>
@@ -51,7 +49,6 @@ usage(std::ostream &os)
           "  --jobs=N     worker threads (default: hardware)\n"
           "  --serial     single-threaded reference mode (= --jobs=1)\n"
           "  --out=DIR    result directory (default: results)\n"
-          "  --no-cache   don't load/save the alone-run baseline cache\n"
           "  --quiet      suppress per-job progress lines\n"
           "  key=value    configuration overrides (seed=, warmup=, ...)\n";
 }
@@ -84,7 +81,7 @@ totalViolations(const Json &doc)
 int
 main(int argc, char **argv)
 {
-    bool all = false, list = false, use_cache = true;
+    bool all = false, list = false;
     unsigned jobs = 0; // 0 = hardware concurrency
     bool progress = true;
     std::string out_dir = "results";
@@ -108,8 +105,6 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(n);
         } else if (arg.rfind("--out=", 0) == 0) {
             out_dir = arg.substr(6);
-        } else if (arg == "--no-cache") {
-            use_cache = false;
         } else if (arg == "--quiet") {
             progress = false;
         } else if (arg == "--help" || arg == "-h") {
@@ -158,10 +153,6 @@ main(int argc, char **argv)
     }
 
     auto baselines = std::make_shared<AloneBaselineCache>();
-    const std::string cache_path = out_dir + "/alone_cache.json";
-    if (use_cache && baselines->load(cache_path))
-        std::cerr << "loaded " << baselines->size()
-                  << " alone baseline(s) from " << cache_path << "\n";
 
     int exit_code = 0;
     for (const CampaignSpec *spec : to_run) {
@@ -197,9 +188,6 @@ main(int argc, char **argv)
         std::cout << "result digest: " << resultDigest(doc) << "\n"
                   << "results: " << path << "\n\n";
     }
-
-    if (use_cache && !baselines->save(cache_path))
-        std::cerr << "dbpsim_bench: cannot write " << cache_path << "\n";
 
     return exit_code;
 }

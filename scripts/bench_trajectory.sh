@@ -43,15 +43,15 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 ./build/bench/dbpsim_bench fig4 --jobs="$jobs" --out="$out" --quiet \
-    --no-cache warmup="$warmup" measure="$measure" seed="$seed" \
+    warmup="$warmup" measure="$measure" seed="$seed" \
     >/dev/null
 
 ./build/bench/dbpsim_bench fig20 --jobs="$jobs" --out="$out" --quiet \
-    --no-cache warmup="$fig20_warmup" measure="$fig20_measure" \
+    warmup="$fig20_warmup" measure="$fig20_measure" \
     seed="$seed" >/dev/null
 
 ./build/bench/dbpsim_bench fig21 --jobs="$jobs" --out="$out" --quiet \
-    --no-cache warmup="$fig20_warmup" measure="$fig20_measure" \
+    warmup="$fig20_warmup" measure="$fig20_measure" \
     seed="$seed" >/dev/null
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"

@@ -22,11 +22,15 @@
 #      hostbench/run.py does), its benchmark and test binaries built
 #      and its tests run: the benchmark re-assembles System from the
 #      components' public constructors, so a src/ change can break its
-#      build while the simulator's own suite still passes. Then one
+#      build while the simulator's own suite still passes. Then the
+#      benchmark's own output check runs on every BENCHMARK.json
+#      workload, and each run must report "correct": true (the binary
+#      exits 0 even when a job failed a check): one untraced pass of
+#      mix_intensive and of mix_light (every job's WS and MS agree
+#      with its IPCs, and every IPC is positive and finite), and one
 #      traced run of refresh_salp_churn (per-bank refresh, SALP-2,
-#      eager migration, the protocol checker) must report
-#      "correct": true, i.e. every traced job matched its plain System
-#      run; the binary exits 0 even when one did not.
+#      eager migration, the protocol checker), in which every traced
+#      job must also match its plain System run.
 #
 # Usage: scripts/check.sh [--full] [base-ref]
 #   --full     Lint every translation unit in compile_commands.json
@@ -142,17 +146,21 @@ else
 fi
 
 # ---------------------------------------------------------------- 7 --
-step "hostbench build + tests + traced fidelity run"
+step "hostbench build + tests + output check on every workload"
 cmake -S hostbench -B build-hostbench -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-hostbench -j "$jobs" --target hostbench hostbench_tests
 ./build-hostbench/hostbench_tests
-verdict="$(./build-hostbench/hostbench --workload refresh_salp_churn \
-    --seed 1 --seconds 0 --trace 1 | tail -n 1)"
-case "$verdict" in
-  *'"correct": true'*) ;;
-  *) echo "hostbench: a traced job diverged from System: $verdict" >&2
-     exit 1 ;;
-esac
+for run in "mix_intensive 0" "mix_light 0" "refresh_salp_churn 1"; do
+    read -r workload trace <<<"$run"
+    verdict="$(./build-hostbench/hostbench --workload "$workload" \
+        --seed 1 --seconds 0 --trace "$trace" | tail -n 1)"
+    case "$verdict" in
+      *'"correct": true'*) ;;
+      *) echo "hostbench: $workload (trace $trace) failed its output" \
+              "check: $verdict" >&2
+         exit 1 ;;
+    esac
+done
 
 echo
 echo "all checks passed."

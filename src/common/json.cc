@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -212,220 +211,6 @@ writeIndent(std::ostream &os, int indent, int depth)
         os << ' ';
 }
 
-// ---- parser ---------------------------------------------------------
-
-struct Parser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string error;
-
-    explicit Parser(const std::string &t) : text(t) {}
-
-    bool
-    fail(const std::string &msg)
-    {
-        if (error.empty())
-            error = msg + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        std::size_t n = std::string(word).size();
-        if (text.compare(pos, n, word) == 0) {
-            pos += n;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != '"')
-            return fail("expected string");
-        ++pos;
-        out.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos];
-            if (c == '\\') {
-                if (pos + 1 >= text.size())
-                    return fail("truncated escape");
-                char e = text[pos + 1];
-                pos += 2;
-                switch (e) {
-                  case '"':
-                    out += '"';
-                    break;
-                  case '\\':
-                    out += '\\';
-                    break;
-                  case '/':
-                    out += '/';
-                    break;
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  case 'r':
-                    out += '\r';
-                    break;
-                  case 'b':
-                    out += '\b';
-                    break;
-                  case 'f':
-                    out += '\f';
-                    break;
-                  case 'u': {
-                    if (pos + 4 > text.size())
-                        return fail("truncated \\u escape");
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = text[pos + static_cast<std::size_t>(i)];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    pos += 4;
-                    // The writer only emits \u00XX control codes;
-                    // decode the Latin-1 range, reject the rest.
-                    if (code > 0xff)
-                        return fail("unsupported \\u escape");
-                    out += static_cast<char>(code);
-                    break;
-                  }
-                  default:
-                    return fail("bad escape");
-                }
-            } else {
-                out += c;
-                ++pos;
-            }
-        }
-        if (pos >= text.size())
-            return fail("unterminated string");
-        ++pos; // closing quote
-        return true;
-    }
-
-    bool
-    parseValue(Json &out)
-    {
-        skipWs();
-        if (pos >= text.size())
-            return fail("unexpected end of input");
-        char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out = Json::object();
-            skipWs();
-            if (consume('}'))
-                return true;
-            while (true) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                Json v;
-                if (!parseValue(v))
-                    return false;
-                out.set(key, std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            out = Json::array();
-            skipWs();
-            if (consume(']'))
-                return true;
-            while (true) {
-                Json v;
-                if (!parseValue(v))
-                    return false;
-                out.push(std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '"') {
-            std::string s;
-            if (!parseString(s))
-                return false;
-            out = Json(std::move(s));
-            return true;
-        }
-        if (literal("true")) {
-            out = Json(true);
-            return true;
-        }
-        if (literal("false")) {
-            out = Json(false);
-            return true;
-        }
-        if (literal("null")) {
-            out = Json();
-            return true;
-        }
-        // number
-        std::size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+'))
-            ++pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E' || text[pos] == '-' ||
-                text[pos] == '+'))
-            ++pos;
-        if (pos == start)
-            return fail("unexpected character");
-        double v = 0.0;
-        if (std::sscanf(text.substr(start, pos - start).c_str(), "%lf",
-                        &v) != 1)
-            return fail("malformed number");
-        out = Json(v);
-        return true;
-    }
-};
-
 } // namespace
 
 void
@@ -499,28 +284,6 @@ Json::dump(int indent) const
     std::ostringstream os;
     write(os, indent);
     return os.str();
-}
-
-Json
-Json::parse(const std::string &text, std::string *error)
-{
-    Parser p(text);
-    Json out;
-    if (!p.parseValue(out)) {
-        if (error)
-            *error = p.error;
-        return Json();
-    }
-    p.skipWs();
-    if (p.pos != text.size()) {
-        if (error)
-            *error = "trailing garbage at offset " +
-                std::to_string(p.pos);
-        return Json();
-    }
-    if (error)
-        error->clear();
-    return out;
 }
 
 } // namespace dbpsim

@@ -1,14 +1,12 @@
 /**
  * @file
- * A minimal JSON value: build, serialize, parse.
+ * A minimal JSON value: build and serialize.
  *
- * Written for the campaign result files (results/<campaign>.json and
- * results/alone_cache.json): object keys keep insertion order and
- * doubles print with round-trip precision, so the same in-memory
- * results always serialize to byte-identical text — the property the
- * parallel-vs-serial determinism gate compares. The parser accepts
- * exactly the subset the writer emits (standard JSON without unicode
- * escapes beyond \uXXXX pass-through).
+ * Written for the campaign result files (results/<campaign>.json):
+ * object keys keep insertion order and doubles print with round-trip
+ * precision, so the same in-memory results always serialize to
+ * byte-identical text — the property the parallel-vs-serial
+ * determinism gate and every result digest compare.
  */
 
 #ifndef DBPSIM_COMMON_JSON_HH
@@ -27,9 +25,9 @@ namespace dbpsim {
  */
 class Json
 {
-  public:
     enum class Type { Null, Bool, Number, String, Array, Object };
 
+  public:
     /** Null value. */
     Json() = default;
 
@@ -52,7 +50,6 @@ class Json
     static Json object();
     static Json array();
 
-    Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
 
     // ---- object interface -------------------------------------------
@@ -96,13 +93,6 @@ class Json
      */
     void write(std::ostream &os, int indent = 0) const;
     std::string dump(int indent = 0) const;
-
-    /**
-     * Parse JSON text. Returns a null value and fills @p error (when
-     * given) on malformed input.
-     */
-    static Json parse(const std::string &text,
-                      std::string *error = nullptr);
 
   private:
     void writeImpl(std::ostream &os, int indent, int depth) const;

@@ -1,13 +1,8 @@
 #include "sim/baseline.hh"
 
-#include <chrono>
-#include <fstream>
-#include <optional>
 #include <sstream>
-#include <utility>
 #include <vector>
 
-#include "common/json.hh"
 #include "common/log.hh"
 #include "part/policy.hh"
 #include "sim/experiment.hh"
@@ -115,69 +110,6 @@ cacheKey(const RunConfig &rc, const std::string &app)
     return os.str();
 }
 
-Json
-profileToJson(const ThreadMemProfile &p)
-{
-    Json j = Json::object();
-    j.set("mpki", p.mpki);
-    j.set("row_hit_rate", p.rowBufferHitRate);
-    j.set("blp", p.blp);
-    j.set("mlp", p.mlp);
-    j.set("row_parallelism", p.rowParallelism);
-    j.set("requests", p.requests);
-    j.set("instructions", p.instructions);
-    j.set("footprint_pages", p.footprintPages);
-    return j;
-}
-
-/** Read number member @p key of @p j into @p out; false when @p j is
- *  not an object or the member is absent or not a number. */
-bool
-readNumber(const Json &j, const char *key, double &out)
-{
-    const Json *v = j.find(key);
-    if (!v || v->type() != Json::Type::Number)
-        return false;
-    out = v->asDouble();
-    return true;
-}
-
-/** readNumber() for a count: also false outside [0, 2^64). */
-bool
-readCount(const Json &j, const char *key, std::uint64_t &out)
-{
-    double v = 0.0;
-    if (!readNumber(j, key, v) || !(v >= 0.0 && v < 0x1p64))
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-/** One cache entry, or nothing when any member is missing or of the
- *  wrong type. Never fatal(): the file comes from outside. */
-std::optional<AloneBaseline>
-baselineFromJson(const Json &j)
-{
-    AloneBaseline b;
-    ThreadMemProfile &p = b.profile;
-    const Json *profile = j.find("profile");
-    if (!profile || !readNumber(j, "ipc", b.ipc) ||
-        !readNumber(*profile, "mpki", p.mpki) ||
-        !readNumber(*profile, "row_hit_rate", p.rowBufferHitRate) ||
-        !readNumber(*profile, "blp", p.blp) ||
-        !readNumber(*profile, "mlp", p.mlp) ||
-        !readNumber(*profile, "row_parallelism", p.rowParallelism) ||
-        !readCount(*profile, "requests", p.requests) ||
-        !readCount(*profile, "instructions", p.instructions) ||
-        !readCount(*profile, "footprint_pages", p.footprintPages))
-        return std::nullopt;
-    return b;
-}
-
-// v2: keys hash the parameter table's hardware and run rows; v1 keys
-// missed the subarray keys, so v1 files are dropped, not merged.
-constexpr const char *kCacheFormat = "dbpsim-alone-cache-v2";
-
 } // namespace
 
 AloneBaseline
@@ -196,7 +128,6 @@ AloneBaselineCache::get(const RunConfig &rc, const std::string &app)
         } else {
             future = promise.get_future().share();
             entries_.emplace(key, future);
-            ++computed_;
             compute = true;
         }
     }
@@ -213,104 +144,11 @@ AloneBaselineCache::get(const RunConfig &rc, const std::string &app)
     return future.get();
 }
 
-bool
-AloneBaselineCache::load(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::stringstream buf;
-    buf << in.rdbuf();
-
-    std::string error;
-    Json root = Json::parse(buf.str(), &error);
-    if (!error.empty() || root.type() != Json::Type::Object) {
-        warn("alone cache ", path, " unreadable (", error,
-             "); ignoring");
-        return false;
-    }
-    const Json *format = root.find("format");
-    if (!format || format->type() != Json::Type::String ||
-        format->asString() != kCacheFormat) {
-        warn("alone cache ", path, " has unknown format; ignoring");
-        return false;
-    }
-    const Json *entries = root.find("entries");
-    if (!entries || entries->type() != Json::Type::Object) {
-        warn("alone cache ", path, " has no entries object; ignoring");
-        return false;
-    }
-
-    // Check every entry before merging any, so a bad file adds nothing.
-    std::vector<std::pair<std::string, AloneBaseline>> parsed;
-    for (const auto &m : entries->members()) {
-        std::optional<AloneBaseline> b = baselineFromJson(m.second);
-        if (!b) {
-            warn("alone cache ", path, " entry '", m.first,
-                 "' is malformed; ignoring the file");
-            return false;
-        }
-        parsed.emplace_back(m.first, *b);
-    }
-
-    std::size_t merged = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[key, b] : parsed) {
-            std::promise<AloneBaseline> p;
-            p.set_value(b);
-            if (entries_.emplace(key, p.get_future().share()).second)
-                ++merged;
-        }
-    }
-    inform("alone cache: loaded ", merged, " baseline(s) from ", path);
-    return true;
-}
-
-bool
-AloneBaselineCache::save(const std::string &path) const
-{
-    Json entries = Json::object();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &e : entries_) {
-            // Only persist completed computations; an in-flight entry
-            // means save() raced a run, which the campaign driver
-            // never does (it saves after all jobs join).
-            if (e.second.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready)
-                continue;
-            const AloneBaseline &b = e.second.get();
-            Json j = Json::object();
-            j.set("ipc", b.ipc);
-            j.set("profile", profileToJson(b.profile));
-            entries.set(e.first, std::move(j));
-        }
-    }
-    Json root = Json::object();
-    root.set("format", kCacheFormat);
-    root.set("entries", std::move(entries));
-
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    root.write(out, 2);
-    out << '\n';
-    return static_cast<bool>(out);
-}
-
-std::size_t
-AloneBaselineCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
 std::uint64_t
 AloneBaselineCache::computeCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return computed_;
+    return entries_.size();
 }
 
 } // namespace dbpsim

@@ -1,13 +1,13 @@
 /**
  * @file
- * Alone-run baselines as a shared, thread-safe, persistent cache.
+ * Alone-run baselines as a shared, thread-safe, in-memory cache.
  *
  * Every speedup the paper reports divides a shared-run IPC by the
  * application's alone-run IPC on the same hardware. Those alone runs
  * are pure functions of (application, hardware configuration, seed);
- * this module computes them once per process — whichever campaign job
- * asks first — and can persist them to results/alone_cache.json so
- * later bench invocations skip them entirely.
+ * this module computes each once per process — whichever campaign job
+ * asks first — and keeps nothing across processes, so a result never
+ * depends on a baseline an earlier build of the simulator computed.
  *
  * Also home of the campaign seeding discipline: jobSeed() derives a
  * simulation seed from stable names only (seed base, mix, scheme), so
@@ -81,8 +81,7 @@ double aloneIpcWithBanks(const RunConfig &rc, const std::string &app,
  * Thread-safe memoization of alone runs, keyed by
  * (application, alone-config hash). Concurrent requests for the same
  * key block on one computation instead of duplicating it; requests
- * for different keys compute in parallel. Optionally persisted as
- * JSON so a later process reloads instead of re-simulating.
+ * for different keys compute in parallel.
  */
 class AloneBaselineCache
 {
@@ -92,26 +91,12 @@ class AloneBaselineCache
     /** Baseline for @p app under @p rc; computes at most once. */
     AloneBaseline get(const RunConfig &rc, const std::string &app);
 
-    /**
-     * Merge entries from a JSON cache file. Unknown or malformed
-     * files are ignored (returns false) — the cache is an
-     * optimization, never a correctness dependency.
-     */
-    bool load(const std::string &path);
-
-    /** Write all (completed) entries to @p path. */
-    bool save(const std::string &path) const;
-
-    /** Entries resident (loaded + computed). */
-    std::size_t size() const;
-
-    /** Alone runs actually simulated by this process (not loaded). */
+    /** Alone runs simulated (or in flight) through this cache. */
     std::uint64_t computeCount() const;
 
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_future<AloneBaseline>> entries_;
-    std::uint64_t computed_ = 0;
 };
 
 } // namespace dbpsim

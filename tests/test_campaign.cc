@@ -1,16 +1,16 @@
 /**
  * @file
- * Campaign-layer tests: JSON round-tripping (the substrate of the
- * bit-identical gate), the name-derived seeding discipline, the
- * shared alone-baseline cache with persistence, and the headline
- * guarantee — a parallel campaign's results are byte-identical to the
- * serial reference, independent of completion order. Runs under TSan
- * in scripts/check.sh (ctest -R 'Executor|Campaign').
+ * Campaign-layer tests: the JSON writer's exact bytes (the substrate
+ * of the bit-identical gate and of every result digest), the
+ * name-derived seeding discipline, the shared in-memory alone-baseline
+ * cache, and the headline guarantee — a parallel campaign's results
+ * are byte-identical to the serial reference, independent of
+ * completion order. Runs under TSan in scripts/check.sh
+ * (ctest -R 'Executor|Campaign').
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -43,7 +43,7 @@ TEST(CampaignJson, ObjectKeepsInsertionOrder)
     EXPECT_EQ(j.dump(), "{\"zebra\": 1, \"apple\": 9, \"mango\": 3}");
 }
 
-TEST(CampaignJson, RoundTripIsByteIdentical)
+TEST(CampaignJson, WriterOutputIsExact)
 {
     Json j = Json::object();
     j.set("int", std::int64_t{42});
@@ -51,35 +51,32 @@ TEST(CampaignJson, RoundTripIsByteIdentical)
     j.set("frac", 0.1);
     j.set("tiny", 1e-17);
     j.set("big", 1e18);
-    j.set("text", "line\n\"quoted\"\t\\");
+    j.set("text", "line\n\"quoted\"\t\\\x01");
     Json arr = Json::array();
     arr.push(Json());
     arr.push(false);
     arr.push(2.5);
     j.set("arr", std::move(arr));
+    j.set("empty", Json::object());
 
-    std::string once = j.dump();
-    std::string err;
-    Json back = Json::parse(once, &err);
-    EXPECT_EQ(err, "");
-    EXPECT_EQ(back.dump(), once);
-
-    // Pretty-printed text parses back to the same compact form.
-    Json pretty = Json::parse(j.dump(2), &err);
-    EXPECT_EQ(err, "");
-    EXPECT_EQ(pretty.dump(), once);
-}
-
-TEST(CampaignJson, ParseRejectsMalformedInput)
-{
-    std::string err;
-    for (const char *bad :
-         {"", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"}) {
-        err.clear();
-        Json v = Json::parse(bad, &err);
-        EXPECT_TRUE(v.isNull()) << bad;
-        EXPECT_FALSE(err.empty()) << bad;
-    }
+    EXPECT_EQ(j.dump(),
+              R"({"int": 42, "neg": -3, "frac": 0.1, "tiny": 1e-17, )"
+              R"("big": 1e+18, "text": "line\n\"quoted\"\t\\\u0001", )"
+              R"("arr": [null, false, 2.5], "empty": {}})");
+    EXPECT_EQ(j.dump(2), R"({
+  "int": 42,
+  "neg": -3,
+  "frac": 0.1,
+  "tiny": 1e-17,
+  "big": 1e+18,
+  "text": "line\n\"quoted\"\t\\\u0001",
+  "arr": [
+    null,
+    false,
+    2.5
+  ],
+  "empty": {}
+})");
 }
 
 // ---- seeding discipline ---------------------------------------------
@@ -155,7 +152,6 @@ TEST(CampaignBaselines, ComputesOncePerApp)
     AloneBaseline again = cache.get(rc, "gcc");
     EXPECT_DOUBLE_EQ(again.ipc, first.ipc);
     EXPECT_EQ(cache.computeCount(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(CampaignBaselines, DistinctConfigsGetDistinctEntries)
@@ -167,69 +163,6 @@ TEST(CampaignBaselines, DistinctConfigsGetDistinctEntries)
     other.base.geometry.banksPerRank *= 2;
     cache.get(other, "gcc");
     EXPECT_EQ(cache.computeCount(), 2u);
-}
-
-TEST(CampaignBaselines, PersistsAndReloadsWithoutRecompute)
-{
-    const std::string path =
-        testing::TempDir() + "dbpsim_alone_cache_test.json";
-    RunConfig rc = tinyConfig();
-
-    AloneBaselineCache writer;
-    AloneBaseline computed = writer.get(rc, "gcc");
-    ASSERT_TRUE(writer.save(path));
-
-    AloneBaselineCache reader;
-    ASSERT_TRUE(reader.load(path));
-    AloneBaseline loaded = reader.get(rc, "gcc");
-    EXPECT_EQ(reader.computeCount(), 0u);
-    EXPECT_DOUBLE_EQ(loaded.ipc, computed.ipc);
-    EXPECT_DOUBLE_EQ(loaded.profile.mpki, computed.profile.mpki);
-    EXPECT_EQ(loaded.profile.footprintPages,
-              computed.profile.footprintPages);
-    std::remove(path.c_str());
-}
-
-TEST(CampaignBaselines, LoadIgnoresGarbageFiles)
-{
-    const std::string path =
-        testing::TempDir() + "dbpsim_alone_cache_garbage.json";
-    auto write = [&path](const std::string &text) {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs(text.c_str(), f);
-        std::fclose(f);
-    };
-    // An entry up to its last member, the request count.
-    const std::string entry =
-        R"({"ipc":1.0,"profile":{"mpki":1.0,"row_hit_rate":0.5,)"
-        R"("blp":1.0,"mlp":1.0,"row_parallelism":1.0,)"
-        R"("instructions":1000,"footprint_pages":4,"requests":)";
-    const std::string files[] = {
-        "not json at all",
-        R"({"format":"dbpsim-alone-cache-v2",)"
-        R"("entries":{"mcf@123":{"ipc":1.0}}})",
-        R"({"format":2,"entries":{}})",
-        R"({"format":"dbpsim-alone-cache-v2"})",
-        // A valid first entry must not be merged when a later one is
-        // bad (here a negative count).
-        R"({"format":"dbpsim-alone-cache-v2","entries":{"mcf@1":)" +
-            entry + R"(10}},"gcc@2":)" + entry + "-1}}}}",
-    };
-    for (const std::string &text : files) {
-        write(text);
-        AloneBaselineCache cache;
-        EXPECT_FALSE(cache.load(path)) << text;
-        EXPECT_EQ(cache.size(), 0u) << text;
-    }
-
-    // The valid entry alone loads.
-    write(R"({"format":"dbpsim-alone-cache-v2","entries":{"mcf@1":)" +
-          entry + "10}}}}");
-    AloneBaselineCache cache;
-    EXPECT_TRUE(cache.load(path));
-    EXPECT_EQ(cache.size(), 1u);
-    std::remove(path.c_str());
 }
 
 // ---- campaign execution ---------------------------------------------

@@ -4,7 +4,7 @@
  *
  * Each case replicates
  *
- *   dbpsim_bench <campaign> --jobs=16 --no-cache
+ *   dbpsim_bench <campaign> --jobs=16
  *       warmup=20000 measure=40000 interval=10000 seed=42 check=1
  *
  * and compares the campaign's "result digest" (the hash over its jobs
