@@ -183,6 +183,13 @@ TraceCore::retire()
 void
 TraceCore::tick()
 {
+    if (bubbleRun_ > 0) {
+        --bubbleRun_;
+        window_.front().count -= params_.issueWidth;
+        windowInstrs_ -= params_.issueWidth;
+        retired_ += params_.issueWidth;
+        return;
+    }
     if (asleep_) {
         statHeadStalls.inc();
         if (asleepOnMshrs_)
@@ -197,13 +204,23 @@ TraceCore::tick()
     if (!storeBuffer_.empty() || windowInstrs_ < params_.windowSize)
         return;
     const Entry &head = window_.front();
+    const bool all_issued = nextIssue_ == popped_ + window_.size();
+    if (head.kind == Entry::Kind::Bubble) {
+        // Before each run tick the window holds at least windowSize
+        // instructions and the head bubble more than issueWidth.
+        const std::uint64_t width = params_.issueWidth;
+        if (all_issued)
+            bubbleRun_ = std::min(
+                (head.count - 1) / width,
+                (windowInstrs_ - params_.windowSize) / width + 1);
+        return;
+    }
     if (head.kind != Entry::Kind::Load || head.completed)
         return;
     // Issue that stopped short of the window's end stopped on a full
     // MSHR file or on a load memory refused. A refused load keeps the
     // core awake: its retry runs the OS translation again and counts
     // a full queue.
-    const bool all_issued = nextIssue_ == popped_ + window_.size();
     asleepOnMshrs_ = !all_issued && mshrInUse_ >= params_.mshrs;
     asleep_ = all_issued || asleepOnMshrs_;
 }

@@ -171,6 +171,19 @@ class TraceCore : public MemClient
      */
     bool asleep_ = false;
     bool asleepOnMshrs_ = false; ///< asleep with the MSHR file full.
+
+    /**
+     * Ticks left in a bubble run. A tick that leaves an empty store
+     * buffer, at least windowSize instructions in the window, every
+     * window load issued and a bubble at the head starts one: until
+     * the window drops below windowSize or the head bubble is down to
+     * its last issueWidth instructions, every tick would only retire
+     * issueWidth instructions from that bubble (fetch adds nothing, no
+     * load is left to issue, nothing reaches the store buffer), so
+     * tick() does exactly that and returns. No readComplete() can end
+     * a run early: it only marks loads behind the head.
+     */
+    std::uint64_t bubbleRun_ = 0;
 };
 
 } // namespace dbpsim
