@@ -113,6 +113,45 @@ TEST(Combined, NoChangeReturnsNullopt)
     EXPECT_EQ(policy.repartitions(), 1u);
 }
 
+TEST(Combined, HoldsBackTheSameIntervalsAsDbp)
+{
+    // Default DbpParams: two warm-up intervals, a two-interval
+    // cool-down. Threads 1-3 start light and turn heavy one by one
+    // (a light-to-heavy flip shows through the EWMA at once). Every
+    // heavy thread is a non-streaming low-RBL thread, so DBP's shares
+    // and MCP's channel groups change only when a thread flips: both
+    // policies adopt exactly when the gate lets a flip through.
+    PartitionInit init;
+    init.numThreads = 4;
+    auto dbp = makePartitionPolicy("dbp", init);
+    auto combined = makePartitionPolicy("dbp-mcp", init);
+    dbp->initialAssignment();
+    combined->initialAssignment();
+
+    const ThreadMemProfile heavy = profile(20, 0.3, 5.0, 20000);
+    const ThreadMemProfile light = profile(0.1, 0.5, 1.0, 10);
+    // Interval from which thread 1, 2, 3 is heavy.
+    const unsigned heavy_from[4] = {0, 4, 8, 9};
+    std::vector<bool> dbp_adopted, combined_adopted;
+    for (unsigned i = 0; i < 13; ++i) {
+        std::vector<ThreadMemProfile> profiles;
+        for (unsigned t = 0; t < 4; ++t)
+            profiles.push_back(i >= heavy_from[t] ? heavy : light);
+        dbp_adopted.push_back(dbp->onInterval(profiles).has_value());
+        combined_adopted.push_back(
+            combined->onInterval(profiles).has_value());
+    }
+    // Warm-up holds 0-1 and the cool-down 2; 3 adopts the first
+    // light set. Each adoption holds the next interval back (4, 6, 9,
+    // 11), so thread 3's flip at 9 waits until 10.
+    const std::vector<bool> expected = {false, false, false, true,
+                                        false, true,  false, false,
+                                        true,  false, true,  false,
+                                        false};
+    EXPECT_EQ(dbp_adopted, expected);
+    EXPECT_EQ(combined_adopted, expected);
+}
+
 TEST(Combined, EndToEndRunsAndProgresses)
 {
     auto make = [](double mpki, double rbhr_knob, unsigned streams,

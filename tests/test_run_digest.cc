@@ -17,8 +17,9 @@
  * warmup=20000 measure=40000 interval=10000 seed=42 with an explicit
  * check= so a DBPSIM_CHECK build pins the same value. The
  * configurations between them reach every scheduler family, page
- * policy, refresh mode, SALP mode, migration mode and a starved core
- * (4 MSHRs, 4 store-buffer entries, short queues).
+ * policy, refresh mode, SALP mode, migration mode, every dynamic
+ * partitioning policy (DBP, MCP and the composed DBP-MCP) and a
+ * starved core (4 MSHRs, 4 store-buffer entries, short queues).
  */
 
 #include <gtest/gtest.h>
@@ -82,6 +83,15 @@ pins()
         {"W10_Tcm_DarpShortPostpone", "W10", "TCM",
          "refresh=darp refresh_postpone=2 trefi=1500 check=1",
          0xfa57d36a2fa392dbULL},
+        // The composed DBP-MCP policy, plain, under TCM and with
+        // subarray colors (whole banks' worth per share).
+        {"W04_DbpMcp", "W04", "DBP-MCP", "check=1",
+         0x4ebdf89f1ca7607aULL},
+        {"W10_DbpMcpTcm", "W10", "DBP-MCP-TCM", "check=1",
+         0xf30252d5bad092bbULL},
+        {"W11_DbpMcp_MasaColored", "W11", "DBP-MCP",
+         "salp=masa subarrays=8 subarray_color=1 check=1",
+         0x14d233e05750f557ULL},
     };
     return v;
 }
