@@ -3,7 +3,6 @@
 #include "part/part_ubp.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "common/log.hh"
@@ -16,11 +15,11 @@ CombinedPolicy::CombinedPolicy(unsigned num_threads, unsigned channels,
                                unsigned subarrays)
     : numThreads_(num_threads), channels_(channels), ranks_(ranks),
       banks_(banks), subs_(subarrays), dbpParams_(dbp),
-      mcp_(num_threads, channels, ranks, banks, mcp, subarrays)
+      mcp_(num_threads, channels, ranks, banks, mcp, subarrays),
+      gate_(num_threads, dbp)
 {
     DBP_ASSERT(num_threads > 0, "dbp-mcp needs >= 1 thread");
     DBP_ASSERT(subarrays > 0, "dbp-mcp needs >= 1 subarray per bank");
-    currentLight_.assign(num_threads, false);
 }
 
 PartitionAssignment
@@ -30,7 +29,6 @@ CombinedPolicy::initialAssignment()
     // (same safe start as DBP).
     UbpPolicy equal(numThreads_, channels_, ranks_, banks_, subs_);
     current_ = equal.initialAssignment();
-    currentLight_.assign(numThreads_, false);
     return current_;
 }
 
@@ -53,184 +51,67 @@ CombinedPolicy::groupColors(
     return out;
 }
 
-void
-CombinedPolicy::splitGroup(const std::vector<unsigned> &members,
-                           const std::vector<unsigned> &colors,
-                           const std::vector<ThreadMemProfile> &profiles,
-                           PartitionAssignment &out) const
-{
-    DBP_ASSERT(!members.empty() && !colors.empty(),
-               "empty group in dbp-mcp split");
-
-    // Separate light members (MCP can co-locate its low-intensity
-    // group with an intensive group on the same channels): lights
-    // share a small tail slice, heavies split the rest.
-    std::vector<unsigned> lights, heavies;
-    for (unsigned t : members) {
-        if (profiles[t].mpki < dbpParams_.lightMpki)
-            lights.push_back(t);
-        else
-            heavies.push_back(t);
-    }
-    if (heavies.empty() || colors.size() < members.size()) {
-        for (unsigned t : members)
-            out[t] = colors;
-        return;
-    }
-
-    // Bank-unit knobs scale to subarray colors.
-    const unsigned stream_colors = dbpParams_.streamBanks * subs_;
-
-    std::vector<unsigned> heavy_colors = colors;
-    if (!lights.empty()) {
-        auto light_banks = static_cast<unsigned>(std::ceil(
-            dbpParams_.lightBanksPerThread *
-            static_cast<double>(lights.size()))) * subs_;
-        unsigned cap = std::max(1u, static_cast<unsigned>(
-            dbpParams_.lightShareCap *
-            static_cast<double>(colors.size())));
-        light_banks = std::clamp(light_banks, 1u, cap);
-        while (light_banks > 1 &&
-               colors.size() - light_banks < heavies.size())
-            --light_banks;
-        std::vector<unsigned> light_set(
-            colors.end() - light_banks, colors.end());
-        for (unsigned t : lights)
-            out[t] = light_set;
-        heavy_colors.resize(colors.size() - light_banks);
-    }
-    const std::vector<unsigned> &members_h = heavies;
-    const std::vector<unsigned> &colors_h = heavy_colors;
-
-    // Equal base among the heavy members.
-    unsigned n = static_cast<unsigned>(members_h.size());
-    unsigned eq = static_cast<unsigned>(colors_h.size()) / n;
-    unsigned extra = static_cast<unsigned>(colors_h.size()) % n;
-    std::vector<unsigned> base(members_h.size());
-    for (std::size_t i = 0; i < members_h.size(); ++i)
-        base[i] = eq + (i < extra ? 1 : 0);
-
-    // Streaming donors keep streamBanks; surplus to receivers by
-    // row-miss intensity (same rules as DbpPolicy).
-    std::vector<bool> donor(members_h.size(), false);
-    unsigned surplus = 0;
-    for (std::size_t i = 0; i < members_h.size(); ++i) {
-        const auto &p = profiles[members_h[i]];
-        if (base[i] > stream_colors &&
-            p.rowBufferHitRate >= dbpParams_.streamRbhr &&
-            p.rowParallelism <= dbpParams_.maxDonorRows) {
-            donor[i] = true;
-            surplus += base[i] - stream_colors;
-        }
-    }
-    std::vector<double> weight(members_h.size(), 0.0);
-    double weight_sum = 0.0;
-    for (std::size_t i = 0; i < members_h.size(); ++i) {
-        if (donor[i])
-            continue;
-        const auto &p = profiles[members_h[i]];
-        weight[i] = std::max(0.1,
-                             p.mpki * (1.0 - p.rowBufferHitRate));
-        weight_sum += weight[i];
-    }
-    std::vector<unsigned> share(members_h.size());
-    if (weight_sum <= 0.0) {
-        surplus = 0;
-        std::fill(donor.begin(), donor.end(), false);
-    }
-    unsigned used = 0;
-    std::vector<double> exact(members_h.size(), 0.0);
-    for (std::size_t i = 0; i < members_h.size(); ++i) {
-        if (donor[i]) {
-            share[i] = stream_colors;
-        } else {
-            exact[i] = surplus * weight[i] /
-                std::max(weight_sum, 1e-9);
-            share[i] = base[i] + static_cast<unsigned>(exact[i]);
-        }
-        used += share[i];
-    }
-    std::size_t bump = 0;
-    while (used < colors_h.size()) {
-        // Leftover surplus: round-robin over receivers.
-        std::size_t i = bump++ % members_h.size();
-        if (donor[i])
-            continue;
-        ++share[i];
-        ++used;
-    }
-
-    // Carve contiguous slices of the group's spread-ordered colors.
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < members_h.size(); ++i) {
-        out[members_h[i]].clear();
-        for (unsigned k = 0; k < share[i] && pos < colors_h.size(); ++k)
-            out[members_h[i]].push_back(colors_h[pos++]);
-        if (out[members_h[i]].empty()) // safety: never empty.
-            out[members_h[i]].push_back(colors_h.back());
-    }
-}
-
 std::optional<PartitionAssignment>
 CombinedPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
 {
-    DBP_ASSERT(profiles.size() == numThreads_,
-               "dbp-mcp: profile vector size mismatch");
-
-    if (intervalsSeen_ < dbpParams_.warmupIntervals) {
-        ++intervalsSeen_;
-        smoothed_ = profiles;
-        return std::nullopt;
-    }
-    ++intervalsSeen_;
-
-    if (smoothed_.empty()) {
-        smoothed_ = profiles;
-    } else {
-        double a = dbpParams_.ewmaAlpha;
-        for (unsigned t = 0; t < numThreads_; ++t) {
-            ThreadMemProfile &s = smoothed_[t];
-            const ThreadMemProfile &n = profiles[t];
-            s.mpki = a * s.mpki + (1 - a) * n.mpki;
-            s.rowBufferHitRate = a * s.rowBufferHitRate +
-                (1 - a) * n.rowBufferHitRate;
-            s.rowParallelism = a * s.rowParallelism +
-                (1 - a) * n.rowParallelism;
-            s.requests = n.requests;
-        }
-    }
-
-    ++sinceRepartition_;
-    if (sinceRepartition_ < dbpParams_.cooldownIntervals)
+    const std::vector<ThreadMemProfile> *smoothed = gate_.admit(profiles);
+    if (!smoothed)
         return std::nullopt;
 
     // Channel groups from MCP's classification.
-    auto chans = mcp_.channelAssignment(smoothed_);
+    auto chans = mcp_.channelAssignment(*smoothed);
     std::map<std::vector<unsigned>, std::vector<unsigned>> groups;
     for (unsigned t = 0; t < numThreads_; ++t)
         groups[chans[t]].push_back(t);
 
+    // DBP's bank shares inside each group (MCP can co-locate its
+    // low-intensity group with an intensive one). Heavy members take
+    // contiguous slices from the head of the group's spread order and
+    // light members share its tail, each bank as its subs_ colors.
+    const std::vector<bool> light = gate_.lightNow();
     PartitionAssignment next(numThreads_);
-    for (const auto &[channel_list, members] : groups)
-        splitGroup(members, groupColors(channel_list), smoothed_, next);
+    for (const auto &[channel_list, members] : groups) {
+        const std::vector<unsigned> colors = groupColors(channel_list);
+        const auto banks = static_cast<unsigned>(colors.size()) / subs_;
+        const std::vector<unsigned> shares =
+            dbpBankShares(dbpParams_, *smoothed, members, banks);
+        unsigned light_banks = 0;
+        unsigned heavy_banks = 0;
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (light[members[i]])
+                light_banks = shares[i];
+            else
+                heavy_banks += shares[i];
+        }
+        if (light_banks + heavy_banks > banks) {
+            // More heavy members than banks: the group shares them.
+            for (unsigned t : members)
+                next[t] = colors;
+            continue;
+        }
+        auto head = colors.begin();
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (light[members[i]]) {
+                next[members[i]].assign(colors.end() - light_banks * subs_,
+                                        colors.end());
+            } else {
+                next[members[i]].assign(head, head + shares[i] * subs_);
+                head += shares[i] * subs_;
+            }
+        }
+    }
 
     if (next == current_)
         return std::nullopt;
     current_ = next;
-    for (unsigned t = 0; t < numThreads_; ++t)
-        currentLight_[t] =
-            smoothed_[t].mpki < dbpParams_.lightMpki;
-    ++repartitions_;
-    sinceRepartition_ = 0;
+    gate_.adopt();
     return next;
 }
 
 bool
 CombinedPolicy::shouldMigrate(unsigned thread) const
 {
-    if (thread >= currentLight_.size())
-        return true;
-    return !currentLight_[thread];
+    return !gate_.adoptedLight(thread);
 }
 
 } // namespace dbpsim

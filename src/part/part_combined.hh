@@ -7,6 +7,11 @@
  * donor/receiver bank split *within* each channel group (removing the
  * intra-group bank conflicts MCP leaves behind). Implemented as an
  * extension beyond the paper's evaluated schemes.
+ *
+ * It runs DBP's own interval gate and bank-share split
+ * (DbpIntervalGate, dbpBankShares), the split once per channel group.
+ * Unlike DBP it carves every adopted partition afresh and has no
+ * hysteresis: any change in the carve is adopted.
  */
 
 #ifndef DBPSIM_PART_PART_COMBINED_HH
@@ -27,11 +32,11 @@ class CombinedPolicy : public PartitionPolicy
     /**
      * @param num_threads Hardware threads.
      * @param channels / @p ranks / @p banks Machine geometry.
-     * @param dbp DBP knobs (donor thresholds, smoothing, hysteresis).
+     * @param dbp DBP knobs (donor thresholds, smoothing, cool-down).
      * @param mcp MCP knobs (grouping thresholds).
-     * @param subarrays Colors per bank (subarray coloring). Bank-unit
-     *        knobs (streamBanks, lightBanksPerThread) scale by this
-     *        when group colors are carved.
+     * @param subarrays Colors per bank (subarray coloring). Shares
+     *        stay in banks and are carved as whole banks' worth of
+     *        subarray colors, as in DBP.
      */
     CombinedPolicy(unsigned num_threads, unsigned channels,
                    unsigned ranks, unsigned banks, DbpParams dbp = {},
@@ -48,22 +53,12 @@ class CombinedPolicy : public PartitionPolicy
     bool shouldMigrate(unsigned thread) const override;
 
     /** Adopted repartitions so far. */
-    std::uint64_t repartitions() const { return repartitions_; }
+    std::uint64_t repartitions() const { return gate_.repartitions(); }
 
   private:
     /** Colors of @p channel_list, interleaved in spread order. */
     std::vector<unsigned>
     groupColors(const std::vector<unsigned> &channel_list) const;
-
-    /**
-     * DBP-style split of @p colors among @p members: equal base,
-     * streaming donors keep streamBanks, surplus to receivers by
-     * row-miss intensity. All-light groups share everything.
-     */
-    void splitGroup(const std::vector<unsigned> &members,
-                    const std::vector<unsigned> &colors,
-                    const std::vector<ThreadMemProfile> &profiles,
-                    PartitionAssignment &out) const;
 
     unsigned numThreads_;
     unsigned channels_;
@@ -72,13 +67,8 @@ class CombinedPolicy : public PartitionPolicy
     unsigned subs_;
     DbpParams dbpParams_;
     McpPolicy mcp_;
-
-    std::vector<ThreadMemProfile> smoothed_;
-    std::vector<bool> currentLight_;
+    DbpIntervalGate gate_;
     PartitionAssignment current_;
-    unsigned intervalsSeen_ = 0;
-    unsigned sinceRepartition_ = 0;
-    std::uint64_t repartitions_ = 0;
 };
 
 } // namespace dbpsim

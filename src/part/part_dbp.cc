@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "common/config.hh"
@@ -15,7 +16,8 @@ DbpPolicy::DbpPolicy(unsigned num_threads, unsigned channels,
     : numThreads_(num_threads), channels_(channels), ranks_(ranks),
       banks_(banks), subs_(subarrays),
       bankColors_(channels * ranks * banks),
-      totalColors_(bankColors_ * subarrays), params_(params)
+      totalColors_(bankColors_ * subarrays), params_(params),
+      gate_(num_threads, params)
 {
     DBP_ASSERT(num_threads > 0, "dbp needs >= 1 thread");
     DBP_ASSERT(totalColors_ > 0, "dbp needs >= 1 bank");
@@ -58,7 +60,6 @@ DbpPolicy::initialAssignment()
         std::fill(counts.begin(), counts.end(), 1u);
     }
     currentCounts_ = counts;
-    currentLight_.assign(numThreads_, false);
     sharedAll_ = false;
 
     clearOwnership();
@@ -83,53 +84,56 @@ DbpPolicy::initialAssignment()
 }
 
 std::vector<unsigned>
-DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
+dbpBankShares(const DbpParams &params,
+              const std::vector<ThreadMemProfile> &profiles,
+              const std::vector<unsigned> &members, unsigned banks)
 {
-    DBP_ASSERT(profiles.size() == numThreads_,
-               "dbp: profile vector size mismatch");
+    const auto n = static_cast<unsigned>(members.size());
+    auto prof = [&](unsigned i) -> const ThreadMemProfile & {
+        return profiles[members[i]];
+    };
 
-    std::vector<bool> light(numThreads_, false);
+    std::vector<bool> light(n, false);
     unsigned light_count = 0;
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (profiles[t].mpki < params_.lightMpki) {
-            light[t] = true;
+    for (unsigned i = 0; i < n; ++i) {
+        if (prof(i).mpki < params.lightMpki) {
+            light[i] = true;
             ++light_count;
         }
     }
 
-    std::vector<unsigned> shares(numThreads_, 0);
+    std::vector<unsigned> shares(n, 0);
 
     // All threads light: no partitioning pressure — everyone shares
     // the whole machine.
-    if (light_count == numThreads_) {
-        std::fill(shares.begin(), shares.end(), bankColors_);
+    if (light_count == n) {
+        std::fill(shares.begin(), shares.end(), banks);
         return shares;
     }
 
-    unsigned heavy_count = numThreads_ - light_count;
+    unsigned heavy_count = n - light_count;
 
     // Light group size: proportional to membership, capped.
     unsigned light_banks = 0;
     if (light_count > 0) {
         light_banks = static_cast<unsigned>(std::ceil(
-            params_.lightBanksPerThread * light_count));
+            params.lightBanksPerThread * light_count));
         unsigned cap = std::max(1u, static_cast<unsigned>(
-            params_.lightShareCap * bankColors_));
+            params.lightShareCap * banks));
         light_banks = std::clamp(light_banks, 1u, cap);
     }
     // Every heavy thread needs at least one bank; shrink the light
     // group if necessary.
-    while (light_banks > 1 && bankColors_ - light_banks < heavy_count)
+    while (light_banks > 1 && banks - light_banks < heavy_count)
         --light_banks;
 
-    unsigned remaining = bankColors_ > light_banks
-        ? bankColors_ - light_banks : 0;
+    unsigned remaining = banks > light_banks ? banks - light_banks : 0;
 
     if (remaining < heavy_count) {
         // Pathological (more heavy threads than banks): every heavy
-        // thread reports one bank; buildAssignment shares them.
-        for (unsigned t = 0; t < numThreads_; ++t)
-            shares[t] = light[t] ? std::max(1u, light_banks) : 1u;
+        // thread reports one bank; the caller shares them.
+        for (unsigned i = 0; i < n; ++i)
+            shares[i] = light[i] ? std::max(1u, light_banks) : 1u;
         return shares;
     }
 
@@ -138,14 +142,14 @@ DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
     // (fig2), so the equal share is close to throughput-optimal for
     // threads of comparable behaviour; the dynamic win comes from the
     // exceptions below, not from wholesale proportional dealing.
-    std::vector<unsigned> base(numThreads_, 0);
+    std::vector<unsigned> base(n, 0);
     {
         unsigned eq = remaining / heavy_count;
         unsigned extra = remaining % heavy_count;
-        for (unsigned t = 0; t < numThreads_; ++t) {
-            if (light[t])
+        for (unsigned i = 0; i < n; ++i) {
+            if (light[i])
                 continue;
-            base[t] = eq + (extra > 0 ? 1 : 0);
+            base[i] = eq + (extra > 0 ? 1 : 0);
             if (extra > 0)
                 --extra;
         }
@@ -155,20 +159,20 @@ DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
     // from the row buffer and need only streamBanks banks — measured
     // directly by the alone bank sweeps (fig2: libquantum saturates
     // by two banks). They donate the rest of their equal share.
-    std::vector<bool> donor(numThreads_, false);
+    std::vector<bool> donor(n, false);
     unsigned surplus = 0;
-    if (!params_.flatDemand) {
-        for (unsigned t = 0; t < numThreads_; ++t) {
-            if (light[t] || base[t] <= params_.streamBanks)
+    if (!params.flatDemand) {
+        for (unsigned i = 0; i < n; ++i) {
+            if (light[i] || base[i] <= params.streamBanks)
                 continue;
             // A donor must both run from the row buffer AND target
             // few rows concurrently; high-RBHR multi-stream apps
             // (bwaves-like) need a bank per stream and must not
             // donate. Row parallelism is partition invariant.
-            if (profiles[t].rowBufferHitRate >= params_.streamRbhr &&
-                profiles[t].rowParallelism <= params_.maxDonorRows) {
-                donor[t] = true;
-                surplus += base[t] - params_.streamBanks;
+            if (prof(i).rowBufferHitRate >= params.streamRbhr &&
+                prof(i).rowParallelism <= params.maxDonorRows) {
+                donor[i] = true;
+                surplus += base[i] - params.streamBanks;
             }
         }
     }
@@ -177,32 +181,32 @@ DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
     // intensity MPKI * (1 - RBHR) — the partition-invariant measure
     // of how much bank service each thread's misses demand (measured
     // BLP is censored by the current partition and useless here).
-    std::vector<double> weight(numThreads_, 0.0);
+    std::vector<double> weight(n, 0.0);
     double weight_sum = 0.0;
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (light[t] || donor[t])
+    for (unsigned i = 0; i < n; ++i) {
+        if (light[i] || donor[i])
             continue;
-        weight[t] = std::max(0.1, profiles[t].mpki *
-                             (1.0 - profiles[t].rowBufferHitRate));
-        weight_sum += weight[t];
+        weight[i] = std::max(0.1, prof(i).mpki *
+                             (1.0 - prof(i).rowBufferHitRate));
+        weight_sum += weight[i];
     }
 
-    std::vector<unsigned> extra_share(numThreads_, 0);
+    std::vector<unsigned> extra_share(n, 0);
     if (surplus > 0 && weight_sum > 0.0) {
         // Largest-remainder proportional split of the surplus.
-        std::vector<double> exact(numThreads_, 0.0);
+        std::vector<double> exact(n, 0.0);
         unsigned used = 0;
-        for (unsigned t = 0; t < numThreads_; ++t) {
-            if (light[t] || donor[t] || weight[t] <= 0.0)
+        for (unsigned i = 0; i < n; ++i) {
+            if (light[i] || donor[i] || weight[i] <= 0.0)
                 continue;
-            exact[t] = surplus * weight[t] / weight_sum;
-            extra_share[t] = static_cast<unsigned>(exact[t]);
-            used += extra_share[t];
+            exact[i] = surplus * weight[i] / weight_sum;
+            extra_share[i] = static_cast<unsigned>(exact[i]);
+            used += extra_share[i];
         }
         std::vector<unsigned> order;
-        for (unsigned t = 0; t < numThreads_; ++t)
-            if (!light[t] && !donor[t] && weight[t] > 0.0)
-                order.push_back(t);
+        for (unsigned i = 0; i < n; ++i)
+            if (!light[i] && !donor[i] && weight[i] > 0.0)
+                order.push_back(i);
         std::sort(order.begin(), order.end(),
                   [&](unsigned a, unsigned b) {
                       double fa = exact[a] - std::floor(exact[a]);
@@ -223,40 +227,38 @@ DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
         std::fill(donor.begin(), donor.end(), false);
     }
 
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (light[t])
-            shares[t] = std::max(1u, light_banks);
-        else if (donor[t])
-            shares[t] = params_.streamBanks;
+    for (unsigned i = 0; i < n; ++i) {
+        if (light[i])
+            shares[i] = std::max(1u, light_banks);
+        else if (donor[i])
+            shares[i] = params.streamBanks;
         else
-            shares[t] = base[t] + extra_share[t];
+            shares[i] = base[i] + extra_share[i];
     }
     return shares;
 }
 
-bool
-DbpPolicy::shouldMigrate(unsigned thread) const
+DbpIntervalGate::DbpIntervalGate(unsigned num_threads,
+                                 const DbpParams &params)
+    : params_(params), adoptedLight_(num_threads, false),
+      warmupLeft_(params.warmupIntervals)
 {
-    if (thread >= currentLight_.size())
-        return true; // before the first interval: no light info yet.
-    return !currentLight_[thread];
 }
 
-std::optional<PartitionAssignment>
-DbpPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
+const std::vector<ThreadMemProfile> *
+DbpIntervalGate::admit(const std::vector<ThreadMemProfile> &profiles)
 {
-    DBP_ASSERT(profiles.size() == numThreads_,
+    DBP_ASSERT(profiles.size() == adoptedLight_.size(),
                "dbp: profile vector size mismatch");
 
     // Cold-start guard: the first intervals' profiles are dominated
     // by window fill and first-touch allocation; re-seed the smoother
     // and do not act on them.
-    if (intervalsSeen_ < params_.warmupIntervals) {
-        ++intervalsSeen_;
+    if (warmupLeft_ > 0) {
+        --warmupLeft_;
         smoothed_ = profiles;
-        return std::nullopt;
+        return nullptr;
     }
-    ++intervalsSeen_;
 
     // Smooth the noisy per-interval estimates so one odd interval
     // cannot reshuffle banks (and trigger a page-migration wave).
@@ -264,32 +266,67 @@ DbpPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
         smoothed_ = profiles;
     } else {
         double a = params_.ewmaAlpha;
-        for (unsigned t = 0; t < numThreads_; ++t) {
-            ThreadMemProfile &s = smoothed_[t];
-            const ThreadMemProfile &n = profiles[t];
-            s.mpki = a * s.mpki + (1 - a) * n.mpki;
-            s.mlp = a * s.mlp + (1 - a) * n.mlp;
-            s.rowParallelism = a * s.rowParallelism +
-                (1 - a) * n.rowParallelism;
-            s.blp = a * s.blp + (1 - a) * n.blp;
-            s.rowBufferHitRate = a * s.rowBufferHitRate +
-                (1 - a) * n.rowBufferHitRate;
-            s.requests = n.requests;
-            s.instructions = n.instructions;
-            s.footprintPages = n.footprintPages;
+        for (std::size_t t = 0; t < profiles.size(); ++t) {
+            const ThreadMemProfile &s = smoothed_[t];
+            ThreadMemProfile next = profiles[t];
+            next.mpki = a * s.mpki + (1 - a) * next.mpki;
+            next.rowBufferHitRate = a * s.rowBufferHitRate +
+                (1 - a) * next.rowBufferHitRate;
+            next.rowParallelism = a * s.rowParallelism +
+                (1 - a) * next.rowParallelism;
+            smoothed_[t] = next;
         }
     }
 
     // Cooldown: never repartition two adjacent intervals.
     ++sinceRepartition_;
     if (sinceRepartition_ < params_.cooldownIntervals)
+        return nullptr;
+    return &smoothed_;
+}
+
+std::vector<bool>
+DbpIntervalGate::lightNow() const
+{
+    std::vector<bool> light(smoothed_.size());
+    for (std::size_t t = 0; t < smoothed_.size(); ++t)
+        light[t] = smoothed_[t].mpki < params_.lightMpki;
+    return light;
+}
+
+void
+DbpIntervalGate::adopt()
+{
+    adoptedLight_ = lightNow();
+    ++repartitions_;
+    sinceRepartition_ = 0;
+}
+
+std::vector<unsigned>
+DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
+{
+    DBP_ASSERT(profiles.size() == numThreads_,
+               "dbp: profile vector size mismatch");
+    std::vector<unsigned> all(numThreads_);
+    std::iota(all.begin(), all.end(), 0u);
+    return dbpBankShares(params_, profiles, all, bankColors_);
+}
+
+bool
+DbpPolicy::shouldMigrate(unsigned thread) const
+{
+    return !gate_.adoptedLight(thread);
+}
+
+std::optional<PartitionAssignment>
+DbpPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
+{
+    const std::vector<ThreadMemProfile> *smoothed = gate_.admit(profiles);
+    if (!smoothed)
         return std::nullopt;
 
-    std::vector<bool> light(numThreads_, false);
-    for (unsigned t = 0; t < numThreads_; ++t)
-        light[t] = smoothed_[t].mpki < params_.lightMpki;
-
-    std::vector<unsigned> shares = bankShares(smoothed_);
+    std::vector<bool> light = gate_.lightNow();
+    std::vector<unsigned> shares = bankShares(*smoothed);
 
     // Hysteresis: adopt only if some thread's allocation moved enough
     // or its light/heavy classification flipped.
@@ -302,34 +339,29 @@ DbpPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
             ? shares[t] - currentCounts_[t]
             : currentCounts_[t] - shares[t];
         max_delta = std::max(max_delta, delta);
-        class_change = class_change || light[t] != currentLight_[t];
+        class_change = class_change || light[t] != gate_.adoptedLight(t);
     }
     if (max_delta < params_.hysteresisBanks && !class_change)
         return std::nullopt;
 
     currentCounts_ = shares;
-    currentLight_ = light;
-    ++repartitions_;
-    sinceRepartition_ = 0;
+    gate_.adopt();
     if (envFlag("DBPSIM_DEBUG_DBP")) {
+        const std::vector<ThreadMemProfile> &sm = *smoothed;
         std::ostringstream os;
-        os << "dbp repartition #" << repartitions_ << ":";
+        os << "dbp repartition #" << gate_.repartitions() << ":";
         for (unsigned t = 0; t < numThreads_; ++t)
             os << " t" << t << "=" << shares[t]
                << (light[t] ? "L" : "")
-               << "(rbhr=" << smoothed_[t].rowBufferHitRate
-               << ",drp=" << smoothed_[t].rowParallelism
-               << ",mpki=" << smoothed_[t].mpki << ")";
+               << "(rbhr=" << sm[t].rowBufferHitRate
+               << ",drp=" << sm[t].rowParallelism
+               << ",mpki=" << sm[t].mpki << ")";
         inform(os.str());
     }
-    if (subs_ > 1) {
-        // bankShares thinks in banks; ownership is carved in subarray
-        // colors, a whole bank's worth at a time.
-        std::vector<unsigned> color_counts(shares);
-        for (unsigned &c : color_counts)
-            c *= subs_;
-        return buildAssignment(color_counts, light);
-    }
+    // Shares are in banks; ownership is carved in subarray colors, a
+    // whole bank's worth at a time.
+    for (unsigned &c : shares)
+        c *= subs_;
     return buildAssignment(shares, light);
 }
 

@@ -3,7 +3,9 @@
  * Dynamic Bank Partitioning (Xie et al., HPCA 2014) — the paper's
  * contribution.
  *
- * Every profiling interval the policy:
+ * Every profiling interval the policy passes the profiles through an
+ * interval gate (warm-up, EWMA smoothing, cool-down; DbpIntervalGate)
+ * and, when the gate lets the interval through:
  *  1. classifies threads by memory intensity: light threads
  *     (MPKI < lightMpki) are grouped into one small shared color set —
  *     they access DRAM too rarely to interfere with each other, and
@@ -21,9 +23,10 @@
  *     thread's bank count moves by at least hysteresisBanks, keeping
  *     migration costs bounded.
  *
- * Color sets are carved as contiguous slices of the channel-spreading
- * color order, so every thread's banks span channels and ranks, and
- * small demand changes move few banks.
+ * Steps 1-3 are dbpBankShares(), which DBP-MCP also runs once per MCP
+ * channel group. Color sets are carved as contiguous slices of the
+ * channel-spreading color order, so every thread's banks span
+ * channels and ranks, and small demand changes move few banks.
  */
 
 #ifndef DBPSIM_PART_PART_DBP_HH
@@ -96,6 +99,65 @@ struct DbpParams
 };
 
 /**
+ * DBP's bank-share split (steps 1-3 above) of @p banks banks among
+ * @p members, ascending indices into @p profiles. Returns one count
+ * per member; the light group, counted once, and the heavy counts sum
+ * to @p banks. Light members report the light group's size (@p banks
+ * when all are light); when heavy members outnumber the banks left,
+ * each reports 1 and the counts overflow @p banks.
+ */
+std::vector<unsigned>
+dbpBankShares(const DbpParams &params,
+              const std::vector<ThreadMemProfile> &profiles,
+              const std::vector<unsigned> &members, unsigned banks);
+
+/**
+ * The interval gate of both DBP policies: it ignores the first
+ * warmupIntervals profiles, smooths the estimator's inputs, holds
+ * decisions back for cooldownIntervals after each adoption, and keeps
+ * the adopted partition's light flags.
+ */
+class DbpIntervalGate
+{
+  public:
+    DbpIntervalGate(unsigned num_threads, const DbpParams &params);
+
+    /**
+     * Take one interval's profiles. Returns the smoothed profiles when
+     * the policy may repartition now, or nullptr while warming up or
+     * cooling down. Only mpki, rowBufferHitRate and rowParallelism
+     * are smoothed; every other field is the latest interval's.
+     */
+    const std::vector<ThreadMemProfile> *
+    admit(const std::vector<ThreadMemProfile> &profiles);
+
+    /** Light flags of the last admitted profiles. */
+    std::vector<bool> lightNow() const;
+
+    /** The policy adopted a partition built from the last admitted
+     *  profiles: restart the cool-down, keep their light flags. */
+    void adopt();
+
+    /** Light flag of @p thread in the adopted partition (false before
+     *  the first adoption). */
+    bool adoptedLight(unsigned thread) const
+    {
+        return adoptedLight_[thread];
+    }
+
+    /** Repartitions adopted so far. */
+    std::uint64_t repartitions() const { return repartitions_; }
+
+  private:
+    DbpParams params_;
+    std::vector<ThreadMemProfile> smoothed_; ///< empty until seeded.
+    std::vector<bool> adoptedLight_;
+    unsigned warmupLeft_;
+    unsigned sinceRepartition_ = 0;
+    std::uint64_t repartitions_ = 0;
+};
+
+/**
  * The DBP policy.
  */
 class DbpPolicy : public PartitionPolicy
@@ -136,10 +198,7 @@ class DbpPolicy : public PartitionPolicy
     bankShares(const std::vector<ThreadMemProfile> &profiles) const;
 
     /** Repartitions actually adopted so far. */
-    std::uint64_t repartitions() const { return repartitions_; }
-
-    /** Parameters in use. */
-    const DbpParams &params() const { return params_; }
+    std::uint64_t repartitions() const { return gate_.repartitions(); }
 
   private:
     /**
@@ -180,18 +239,7 @@ class DbpPolicy : public PartitionPolicy
     /** Bank counts of the currently adopted partition (hysteresis). */
     std::vector<unsigned> currentCounts_;
 
-    /** Light classification of the current partition. */
-    std::vector<bool> currentLight_;
-    std::uint64_t repartitions_ = 0;
-
-    /** EWMA-smoothed per-thread estimates (empty until 1st interval). */
-    std::vector<ThreadMemProfile> smoothed_;
-
-    /** Intervals since the last adopted repartition. */
-    unsigned sinceRepartition_ = 0;
-
-    /** Total profiling intervals observed (cold-start guard). */
-    unsigned intervalsSeen_ = 0;
+    DbpIntervalGate gate_;
 };
 
 } // namespace dbpsim

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the extension mechanism beyond the paper's evaluated set:
- * the combined DBP-MCP channel+bank partitioning policy.
+ * the combined DBP-MCP channel+bank partitioning policy, which runs
+ * DBP's interval gate and bank-share split per MCP channel group.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "part/part_combined.hh"
@@ -150,6 +152,76 @@ TEST(Combined, HoldsBackTheSameIntervalsAsDbp)
                                         false};
     EXPECT_EQ(dbp_adopted, expected);
     EXPECT_EQ(combined_adopted, expected);
+}
+
+/** Thread 0 streams (a donor); 1-3 receive by row-miss intensity. */
+std::vector<ThreadMemProfile>
+oneDonorThreeReceivers()
+{
+    return {profile(25, 0.95, 1.0), profile(17, 0.3, 6.0),
+            profile(12, 0.5, 3.0), profile(9, 0.4, 2.0)};
+}
+
+/** Subarrays per bank (colors per bank). */
+class CombinedOneChannel : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(CombinedOneChannel, SetsAreDbpBankSharesInWholeBanks)
+{
+    // One channel: MCP's groups all share it, so DBP-MCP runs DBP's
+    // split over the whole 2x8 machine and must carve exactly DBP's
+    // bank shares. The surplus of 2 banks goes 1/1 by largest
+    // remainder (exact 1.02, 0.52, 0.46), not 2/0.
+    const unsigned subs = GetParam();
+    const std::vector<ThreadMemProfile> profiles =
+        oneDonorThreeReceivers();
+    DbpPolicy dbp(4, 1, 2, 8, fastDbp(), subs);
+    const std::vector<unsigned> shares = dbp.bankShares(profiles);
+    ASSERT_EQ(shares, (std::vector<unsigned>{2, 5, 5, 4}));
+
+    CombinedPolicy policy(4, 1, 2, 8, fastDbp(), {}, subs);
+    policy.initialAssignment();
+    auto next = policy.onInterval(profiles);
+    ASSERT_TRUE(next.has_value());
+    std::set<unsigned> seen;
+    for (unsigned t = 0; t < 4; ++t) {
+        EXPECT_EQ((*next)[t].size(), shares[t] * subs) << "thread " << t;
+        // Whole banks: a thread owning one color of a bank owns all
+        // of the bank's colors.
+        std::map<unsigned, unsigned> colors_per_bank;
+        for (unsigned c : (*next)[t]) {
+            EXPECT_TRUE(seen.insert(c).second) << "color " << c;
+            ++colors_per_bank[c / subs];
+        }
+        for (const auto &[bank, count] : colors_per_bank)
+            EXPECT_EQ(count, subs) << "thread " << t << " bank " << bank;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Subarrays, CombinedOneChannel,
+                         ::testing::Values(1u, 2u));
+
+TEST(Combined, FlatDemandRemovesDonors)
+{
+    // A light thread 3 takes one bank; heavy threads split 15. Thread
+    // 0 streams, so it keeps streamBanks and donates 3 banks, unless
+    // flatDemand treats every heavy thread alike.
+    std::vector<ThreadMemProfile> profiles = oneDonorThreeReceivers();
+    profiles[3] = profile(0.5, 0.5, 1.0);
+    auto set_sizes = [&](bool flat) {
+        DbpParams params = fastDbp();
+        params.flatDemand = flat;
+        CombinedPolicy policy(4, 1, 2, 8, params);
+        policy.initialAssignment();
+        std::vector<std::size_t> sizes;
+        if (auto next = policy.onInterval(profiles))
+            for (const auto &set : *next)
+                sizes.push_back(set.size());
+        return sizes;
+    };
+    EXPECT_EQ(set_sizes(false), (std::vector<std::size_t>{2, 7, 6, 1}));
+    EXPECT_EQ(set_sizes(true), (std::vector<std::size_t>{5, 5, 5, 1}));
 }
 
 TEST(Combined, EndToEndRunsAndProgresses)
