@@ -84,14 +84,14 @@ pins()
          "refresh=darp refresh_postpone=2 trefi=1500 check=1",
          0xfa57d36a2fa392dbULL},
         // The composed DBP-MCP policy, plain, under TCM and with
-        // subarray colors (whole banks' worth per share).
+        // subarray colors (shares carved in whole banks, as in DBP).
         {"W04_DbpMcp", "W04", "DBP-MCP", "check=1",
          0x4ebdf89f1ca7607aULL},
         {"W10_DbpMcpTcm", "W10", "DBP-MCP-TCM", "check=1",
          0xf30252d5bad092bbULL},
         {"W11_DbpMcp_MasaColored", "W11", "DBP-MCP",
          "salp=masa subarrays=8 subarray_color=1 check=1",
-         0x14d233e05750f557ULL},
+         0x818ea44e02a806f2ULL},
     };
     return v;
 }
