@@ -31,15 +31,20 @@
 #      traced run of refresh_salp_churn (per-bank refresh, SALP-2,
 #      eager migration, the protocol checker), in which every traced
 #      job must also match its plain System run.
+#   8. The net line count against the merge base: lines added, removed
+#      and net per top-level code directory (src, bench, tests, tools,
+#      examples, scripts, hostbench) and in total, summed from
+#      `git diff --numstat` over the tracked files of the working tree.
+#      It only reports; it fails nothing.
 #
 # Usage: scripts/check.sh [--full] [base-ref]
 #   --full     Lint every translation unit in compile_commands.json
 #              instead of only the changed set.
-#   base-ref   Git ref to diff against for the changed-file steps
-#              (default: main, falling back to HEAD~1; when no merge
-#              base resolves at all, the files touched by HEAD are
-#              linted so a detached or shallow checkout still gets a
-#              real lint run instead of a silent skip).
+#   base-ref   Git ref to diff against for the changed-file steps and
+#              the line count (default: main, falling back to HEAD~1;
+#              when no merge base resolves at all, the files touched by
+#              HEAD are linted so a detached or shallow checkout still
+#              gets a real lint run instead of a silent skip).
 
 set -euo pipefail
 
@@ -88,6 +93,10 @@ ctest --preset tsan -R 'Executor|Campaign|Refresh|ProtocolCheck'
 # merge base plus any local edits, falling back to the files HEAD
 # itself touched when no merge base resolves (first commit, detached
 # or shallow checkout) — previously that case skipped silently.
+if ! git rev-parse --verify --quiet "$base_ref" >/dev/null; then
+    base_ref="HEAD~1"
+fi
+merge_base="$(git merge-base "$base_ref" HEAD 2>/dev/null || echo "")"
 if [ "$full" -eq 1 ]; then
     changed="$(
         grep -oE '"file": *"[^"]+"' build/compile_commands.json |
@@ -95,10 +104,6 @@ if [ "$full" -eq 1 ]; then
             grep -F "$repo_root" | grep -v '_deps' | sort -u || true
     )"
 else
-    if ! git rev-parse --verify --quiet "$base_ref" >/dev/null; then
-        base_ref="HEAD~1"
-    fi
-    merge_base="$(git merge-base "$base_ref" HEAD 2>/dev/null || echo "")"
     changed="$(
         {
             if [ -n "$merge_base" ]; then
@@ -161,6 +166,30 @@ for run in "mix_intensive 0" "mix_light 0" "refresh_salp_churn 1"; do
          exit 1 ;;
     esac
 done
+
+# ---------------------------------------------------------------- 8 --
+step "net line count against the merge base"
+code_dirs="src bench tests tools examples scripts hostbench"
+if [ -z "$merge_base" ]; then
+    echo "no merge base with $base_ref; nothing to count."
+else
+    echo "against $(git rev-parse --short "$merge_base") ($base_ref):"
+    # shellcheck disable=SC2086 # one pathspec per directory.
+    git diff --numstat --no-renames "$merge_base" -- $code_dirs |
+        awk -v dirs="$code_dirs" '
+            { split($3, path, "/"); add[path[1]] += $1; del[path[1]] += $2 }
+            END {
+                printf "%-10s %8s %8s %8s\n", "dir", "added", "removed", "net"
+                n = split(dirs, d, " ")
+                for (i = 1; i <= n; ++i) {
+                    printf "%-10s %8d %8d %+8d\n", d[i], add[d[i]],
+                        del[d[i]], add[d[i]] - del[d[i]]
+                    total_add += add[d[i]]; total_del += del[d[i]]
+                }
+                printf "%-10s %8d %8d %+8d\n", "total", total_add,
+                    total_del, total_add - total_del
+            }'
+fi
 
 echo
 echo "all checks passed."
