@@ -73,7 +73,10 @@ const CampaignRegistrar reg({
     "fig12",
     "sensitivity to core count",
     "Expected shape: DBP's edge over UBP grows with core count as the "
-    "equal share shrinks.",
+    "equal share shrinks.\nNot reproduced at the default window: DBP's "
+    "WS edge shrinks from +1.5 % at 4 cores (2.676 vs\n2.636) to "
+    "+0.9 % at 8 (5.129 vs 5.085) and turns negative at 16 (7.281 vs "
+    "7.403).",
     plan,
     render,
 });

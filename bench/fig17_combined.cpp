@@ -42,7 +42,10 @@ const CampaignRegistrar reg({
     "fig17",
     "channel+bank partitioning composition",
     "Expected shape: the composed schemes at or above their "
-    "components on both metrics.",
+    "components on both metrics.\nNot reproduced at the default "
+    "window: DBP-MCP has WS 4.838 / MS 2.779 against DBP's 5.129 /\n"
+    "2.028 and MCP's 5.046 / 2.295; DBP-MCP-TCM has 4.812 / 2.899 "
+    "against DBP-TCM's 5.072 / 2.128.",
     plan,
     render,
 });

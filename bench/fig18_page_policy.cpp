@@ -78,7 +78,10 @@ const CampaignRegistrar reg({
     "fig18",
     "page policy x partitioning",
     "Expected shape: open policies keep their edge over closed-page "
-    "under DBP; adaptive recoups part of\nthe conflict tRP.",
+    "under DBP; adaptive recoups part of\nthe conflict tRP. Not "
+    "reproduced at the default window: under DBP closed-page leads "
+    "open (WS 5.497\nvs 5.121, MS 1.838 vs 2.027) and adaptive trails "
+    "open (WS 5.046, MS 2.116).",
     plan,
     render,
 });

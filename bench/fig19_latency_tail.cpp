@@ -102,7 +102,9 @@ const CampaignRegistrar reg({
     "read-latency tails per scheme (bus cycles)",
     "Expected shape: partitioned schemes compress the worst-thread "
     "P95 (victims stop queueing behind\nother threads' row "
-    "conflicts).",
+    "conflicts). Not reproduced at the default window: the worst-"
+    "thread P95 is\n256 under UBP and 248 under DBP against "
+    "FR-FCFS's 248 bus cycles (DBP-TCM 264 against TCM's 272).",
     plan,
     render,
 });

@@ -129,7 +129,12 @@ const CampaignRegistrar reg({
     "machine, and SALP/MASA speed\nup a lone thread's bank conflicts "
     "too, so weighted speedup sits 1-3 % below the single-\nsubarray "
     "machine's; max slowdown falls under SALP-1/SALP-2, and subarray "
-    "coloring (masa-8c)\nedges out plain masa-8 on both.",
+    "coloring (masa-8c)\nedges out plain masa-8 on both. Not "
+    "reproduced at the default window: masa-8 sits 3.1 % (UBP) and\n"
+    "3.4 % (DBP) below s1; DBP's max slowdown rises under "
+    "SALP-1/SALP-2 (2.028 -> 2.081/2.072); and\nmasa-8c trails masa-8 "
+    "on both (UBP WS 4.905 vs 4.929, MS 2.421 vs 2.371; DBP 4.861 vs "
+    "4.957,\n2.401 vs 2.198).",
     plan,
     render,
 });

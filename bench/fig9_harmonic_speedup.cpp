@@ -37,7 +37,9 @@ render(CampaignRun &run, std::ostream &os)
 const CampaignRegistrar reg({
     "fig9",
     "harmonic speedup across schemes",
-    "Expected shape: DBP-TCM leads the gmean row; FR-FCFS trails.",
+    "Expected shape: DBP-TCM leads the gmean row; FR-FCFS trails.\n"
+    "Not reproduced at the default window: DBP leads (0.663, DBP-TCM "
+    "0.652) and MCP trails (0.602,\nFR-FCFS 0.628).",
     plan,
     render,
 });
