@@ -171,8 +171,9 @@ TEST_P(CombinedOneChannel, SetsAreDbpBankSharesInWholeBanks)
 {
     // One channel: MCP's groups all share it, so DBP-MCP runs DBP's
     // split over the whole 2x8 machine and must carve exactly DBP's
-    // bank shares. The surplus of 2 banks goes 1/1 by largest
-    // remainder (exact 1.02, 0.52, 0.46), not 2/0.
+    // bank shares. Thread 0's surplus of 2 banks goes one each to
+    // threads 1 and 2 by largest remainder (exact 1.02, 0.52, 0.46).
+    // With 2 subarrays every share is whole banks' worth of colors.
     const unsigned subs = GetParam();
     const std::vector<ThreadMemProfile> profiles =
         oneDonorThreeReceivers();
