@@ -56,15 +56,8 @@ class CombinedPolicy : public PartitionPolicy
     std::uint64_t repartitions() const { return gate_.repartitions(); }
 
   private:
-    /** Colors of @p channel_list, interleaved in spread order. */
-    std::vector<unsigned>
-    groupColors(const std::vector<unsigned> &channel_list) const;
-
     unsigned numThreads_;
-    unsigned channels_;
-    unsigned ranks_;
-    unsigned banks_;
-    unsigned subs_;
+    ColorLayout layout_;
     DbpParams dbpParams_;
     McpPolicy mcp_;
     DbpIntervalGate gate_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/log.hh"
@@ -13,25 +14,19 @@ namespace dbpsim {
 DbpPolicy::DbpPolicy(unsigned num_threads, unsigned channels,
                      unsigned ranks, unsigned banks, DbpParams params,
                      unsigned subarrays)
-    : numThreads_(num_threads), channels_(channels), ranks_(ranks),
-      banks_(banks), subs_(subarrays),
-      bankColors_(channels * ranks * banks),
-      totalColors_(bankColors_ * subarrays), params_(params),
+    : numThreads_(num_threads),
+      layout_(channels, ranks, banks, subarrays), params_(params),
       gate_(num_threads, params)
 {
     DBP_ASSERT(num_threads > 0, "dbp needs >= 1 thread");
-    DBP_ASSERT(totalColors_ > 0, "dbp needs >= 1 bank");
-    DBP_ASSERT(subarrays > 0, "dbp needs >= 1 subarray per bank");
-    if (params_.lightBanksPerThread <= 0.0)
-        fatal("dbp: lightBanksPerThread must be > 0");
-    if (params_.lightShareCap <= 0.0 || params_.lightShareCap > 1.0)
-        fatal("dbp: lightShareCap out of (0,1]");
-    spreadOrder_ =
-        channelSpreadColorOrder(channels_, ranks_, banks_, subs_);
-    spreadPos_.assign(totalColors_, 0);
-    for (unsigned pos = 0; pos < totalColors_; ++pos)
-        spreadPos_[spreadOrder_[pos]] = pos;
-    owned_.resize(numThreads_);
+    DBP_ASSERT(params_.lightBanksPerThread > 0.0,
+               "dbp: lightBanksPerThread must be > 0");
+    DBP_ASSERT(params_.lightShareCap > 0.0 && params_.lightShareCap <= 1.0,
+               "dbp: lightShareCap out of (0,1]");
+    const std::vector<unsigned> &spread = layout_.spread();
+    spreadPos_.assign(spread.size(), 0);
+    for (unsigned pos = 0; pos < spread.size(); ++pos)
+        spreadPos_[spread[pos]] = pos;
 }
 
 void
@@ -48,39 +43,14 @@ DbpPolicy::initialAssignment()
     // No profile yet: start from the equal partition (what the paper
     // compares against, and a safe default until measurements exist).
     // Counts are in bank units (hysteresis compares against
-    // bankShares); ownership is carved in colors, whole banks at a
-    // time.
-    std::vector<unsigned> counts(numThreads_, 0);
-    if (bankColors_ >= numThreads_) {
-        unsigned base = bankColors_ / numThreads_;
-        unsigned extra = bankColors_ % numThreads_;
-        for (unsigned t = 0; t < numThreads_; ++t)
-            counts[t] = base + (t < extra ? 1 : 0);
-    } else {
-        std::fill(counts.begin(), counts.end(), 1u);
-    }
-    currentCounts_ = counts;
-    sharedAll_ = false;
-
-    clearOwnership();
-    if (bankColors_ >= numThreads_) {
-        // Contiguous slices of the channel-spreading order.
-        unsigned pos = 0;
-        for (unsigned t = 0; t < numThreads_; ++t)
-            for (unsigned i = 0; i < counts[t] * subs_; ++i)
-                owned_[t].push_back(spreadOrder_[pos++]);
-    } else {
-        // Degenerate sharing: threads wrap around the banks.
-        for (unsigned t = 0; t < numThreads_; ++t)
-            for (unsigned s = 0; s < subs_; ++s)
-                owned_[t].push_back(
-                    spreadOrder_[(t % bankColors_) * subs_ + s]);
-    }
-
-    PartitionAssignment out(numThreads_);
+    // bankShares).
+    owned_ = layout_.equalSplit(numThreads_);
+    lightSet_.clear();
+    currentCounts_.resize(numThreads_);
     for (unsigned t = 0; t < numThreads_; ++t)
-        out[t] = owned_[t];
-    return out;
+        currentCounts_[t] = static_cast<unsigned>(owned_[t].size()) /
+            layout_.subarrays();
+    return owned_;
 }
 
 std::vector<unsigned>
@@ -195,35 +165,18 @@ dbpBankShares(const DbpParams &params,
     if (surplus > 0 && weight_sum > 0.0) {
         // Largest-remainder proportional split of the surplus.
         std::vector<double> exact(n, 0.0);
-        unsigned used = 0;
+        std::vector<unsigned> receivers;
         for (unsigned i = 0; i < n; ++i) {
-            if (light[i] || donor[i] || weight[i] <= 0.0)
+            if (light[i] || donor[i])
                 continue;
             exact[i] = surplus * weight[i] / weight_sum;
             extra_share[i] = static_cast<unsigned>(exact[i]);
-            used += extra_share[i];
+            receivers.push_back(i);
         }
-        std::vector<unsigned> order;
-        for (unsigned i = 0; i < n; ++i)
-            if (!light[i] && !donor[i] && weight[i] > 0.0)
-                order.push_back(i);
-        std::sort(order.begin(), order.end(),
-                  [&](unsigned a, unsigned b) {
-                      double fa = exact[a] - std::floor(exact[a]);
-                      double fb = exact[b] - std::floor(exact[b]);
-                      if (fa != fb)
-                          return fa > fb;
-                      return a < b;
-                  });
-        std::size_t oi = 0;
-        while (used < surplus && !order.empty()) {
-            ++extra_share[order[oi % order.size()]];
-            ++used;
-            ++oi;
-        }
+        roundByLargestRemainder(extra_share, exact, std::move(receivers),
+                                surplus);
     } else if (surplus > 0) {
         // Everyone heavy is a donor: nothing sensible to transfer.
-        surplus = 0;
         std::fill(donor.begin(), donor.end(), false);
     }
 
@@ -309,7 +262,7 @@ DbpPolicy::bankShares(const std::vector<ThreadMemProfile> &profiles) const
                "dbp: profile vector size mismatch");
     std::vector<unsigned> all(numThreads_);
     std::iota(all.begin(), all.end(), 0u);
-    return dbpBankShares(params_, profiles, all, bankColors_);
+    return dbpBankShares(params_, profiles, all, layout_.banks());
 }
 
 bool
@@ -361,7 +314,7 @@ DbpPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
     // Shares are in banks; ownership is carved in subarray colors, a
     // whole bank's worth at a time.
     for (unsigned &c : shares)
-        c *= subs_;
+        c *= layout_.subarrays();
     return buildAssignment(shares, light);
 }
 
@@ -369,18 +322,14 @@ PartitionAssignment
 DbpPolicy::buildAssignment(const std::vector<unsigned> &counts,
                            const std::vector<bool> &light)
 {
+    const std::vector<unsigned> &spread = layout_.spread();
+    const auto total_colors = static_cast<unsigned>(spread.size());
+
     // All-light case: everyone shares every bank; ownership dissolves.
-    bool everyone_everything = true;
-    for (unsigned t = 0; t < numThreads_; ++t)
-        if (counts[t] != totalColors_)
-            everyone_everything = false;
-    if (everyone_everything) {
+    if (std::all_of(counts.begin(), counts.end(),
+                    [&](unsigned c) { return c == total_colors; })) {
         clearOwnership();
-        sharedAll_ = true;
-        std::vector<unsigned> all(totalColors_);
-        for (unsigned c = 0; c < totalColors_; ++c)
-            all[c] = c;
-        return PartitionAssignment(numThreads_, all);
+        return PartitionAssignment(numThreads_, layout_.all());
     }
 
     unsigned light_banks = 0;
@@ -395,32 +344,22 @@ DbpPolicy::buildAssignment(const std::vector<unsigned> &counts,
     // Pathological sharing case (more heavy threads than banks): a
     // stable incremental hand-off cannot represent shared ownership;
     // rebuild fresh with wrap-around sharing.
-    if (heavy_sum + light_banks > totalColors_) {
+    if (heavy_sum + light_banks > total_colors) {
         clearOwnership();
-        sharedAll_ = false;
         PartitionAssignment out(numThreads_);
         std::size_t pos = 0;
-        std::vector<unsigned> light_set;
-        for (unsigned i = 0; i < light_banks; ++i)
-            light_set.push_back(
-                spreadOrder_[totalColors_ - 1 - i]);
-        std::size_t head_span = totalColors_ - light_banks;
+        std::vector<unsigned> light_set(spread.rbegin(),
+                                        spread.rbegin() + light_banks);
+        std::size_t head_span = total_colors - light_banks;
         for (unsigned t = 0; t < numThreads_; ++t) {
             if (light[t]) {
                 out[t] = light_set;
                 continue;
             }
             for (unsigned i = 0; i < counts[t]; ++i)
-                out[t].push_back(spreadOrder_[pos++ % head_span]);
+                out[t].push_back(spread[pos++ % head_span]);
         }
         return out;
-    }
-
-    // Leaving the shared-all state: nothing is owned; seed ownership
-    // with fresh contiguous slices (one-time cost).
-    if (sharedAll_) {
-        clearOwnership();
-        sharedAll_ = false;
     }
 
     // ---- Incremental hand-off: entities keep what they own; only
@@ -448,7 +387,7 @@ DbpPolicy::buildAssignment(const std::vector<unsigned> &counts,
     // Any color neither owned nor already released (first incremental
     // call after a reset) also enters the pool.
     {
-        std::vector<bool> accounted(totalColors_, false);
+        std::vector<bool> accounted(total_colors, false);
         for (const auto &o : owned_)
             for (unsigned c : o)
                 accounted[c] = true;
@@ -456,7 +395,7 @@ DbpPolicy::buildAssignment(const std::vector<unsigned> &counts,
             accounted[c] = true;
         for (unsigned c : free_pool)
             accounted[c] = true;
-        for (unsigned c = 0; c < totalColors_; ++c)
+        for (unsigned c : spread)
             if (!accounted[c])
                 free_pool.push_back(c);
     }

@@ -215,16 +215,10 @@ class DbpPolicy : public PartitionPolicy
     void clearOwnership();
 
     unsigned numThreads_;
-    unsigned channels_;
-    unsigned ranks_;
-    unsigned banks_;
-    unsigned subs_;        ///< colors per bank.
-    unsigned bankColors_;  ///< machine-wide banks (demand units).
-    unsigned totalColors_; ///< bankColors_ * subs_ (assignment units).
+    ColorLayout layout_;
     DbpParams params_;
 
-    /** Colors in channel-spreading order, and each color's position. */
-    std::vector<unsigned> spreadOrder_;
+    /** Each color's position in the channel-spreading order. */
     std::vector<unsigned> spreadPos_;
 
     /** Colors owned per heavy thread, in acquisition order. */
@@ -232,9 +226,6 @@ class DbpPolicy : public PartitionPolicy
 
     /** Colors of the shared light set, in acquisition order. */
     std::vector<unsigned> lightSet_;
-
-    /** Everyone currently shares all banks (all-light state). */
-    bool sharedAll_ = false;
 
     /** Bank counts of the currently adopted partition (hysteresis). */
     std::vector<unsigned> currentCounts_;

@@ -2,8 +2,6 @@
 
 #include "common/log.hh"
 #include "part/part_combined.hh"
-#include "part/part_none.hh"
-#include "part/part_ubp.hh"
 
 namespace dbpsim {
 
@@ -21,13 +19,14 @@ makePartitionPolicy(const std::string &name, const PartitionInit &init)
 {
     const DramGeometry &g = init.geometry;
     const unsigned subs = init.coloredSubarrays;
+    const ColorLayout layout(g.channels, g.ranksPerChannel, g.banksPerRank,
+                             subs);
     if (name == "none")
-        return std::make_unique<NonePolicy>(init.numThreads,
-                                            g.totalBanks() * subs);
+        return std::make_unique<StaticPolicy>(
+            name, PartitionAssignment(init.numThreads, layout.all()));
     if (name == "ubp")
-        return std::make_unique<UbpPolicy>(init.numThreads, g.channels,
-                                           g.ranksPerChannel,
-                                           g.banksPerRank, subs);
+        return std::make_unique<StaticPolicy>(
+            name, layout.equalSplit(init.numThreads));
     if (name == "dbp")
         return std::make_unique<DbpPolicy>(init.numThreads, g.channels,
                                            g.ranksPerChannel,

@@ -1,7 +1,6 @@
 #include "part/part_mcp.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hh"
 
@@ -10,38 +9,17 @@ namespace dbpsim {
 McpPolicy::McpPolicy(unsigned num_threads, unsigned channels,
                      unsigned ranks, unsigned banks, McpParams params,
                      unsigned subarrays)
-    : numThreads_(num_threads), channels_(channels), ranks_(ranks),
-      banks_(banks), subs_(subarrays), params_(params)
+    : numThreads_(num_threads), channels_(channels),
+      layout_(channels, ranks, banks, subarrays), params_(params)
 {
     DBP_ASSERT(num_threads > 0, "mcp needs >= 1 thread");
-    DBP_ASSERT(channels > 0, "mcp needs >= 1 channel");
-    DBP_ASSERT(subarrays > 0, "mcp needs >= 1 subarray per bank");
-}
-
-std::vector<unsigned>
-McpPolicy::channelColors(unsigned channel) const
-{
-    std::vector<unsigned> out;
-    out.reserve(static_cast<std::size_t>(ranks_) * banks_ * subs_);
-    for (unsigned r = 0; r < ranks_; ++r)
-        for (unsigned b = 0; b < banks_; ++b)
-            for (unsigned s = 0; s < subs_; ++s)
-                out.push_back(((channel * ranks_ + r) * banks_ + b) *
-                                  subs_ + s);
-    return out;
 }
 
 PartitionAssignment
 McpPolicy::initialAssignment()
 {
-    std::vector<unsigned> all;
-    for (unsigned c = 0; c < channels_; ++c) {
-        auto cc = channelColors(c);
-        all.insert(all.end(), cc.begin(), cc.end());
-    }
-    std::sort(all.begin(), all.end());
     current_.assign(numThreads_, {});
-    return PartitionAssignment(numThreads_, all);
+    return PartitionAssignment(numThreads_, layout_.all());
 }
 
 std::vector<std::vector<unsigned>>
@@ -72,8 +50,8 @@ McpPolicy::channelAssignment(
 
     // Channel counts per group: proportional to bandwidth demand, at
     // least one channel per non-empty group when that fits.
-    std::vector<int> active;
-    for (int g = 0; g < 3; ++g)
+    std::vector<unsigned> active;
+    for (unsigned g = 0; g < 3; ++g)
         if (members[g] > 0)
             active.push_back(g);
 
@@ -104,37 +82,24 @@ McpPolicy::channelAssignment(
         std::vector<unsigned> share(3, 0);
         unsigned used = 0;
         std::vector<double> exact(3, 0.0);
-        for (int g : active) {
+        for (unsigned g : active) {
             exact[g] = channels_ * demand[g] / total;
             share[g] = std::max(1u, static_cast<unsigned>(exact[g]));
             used += share[g];
         }
         while (used > channels_) {
             int victim = -1;
-            for (int g : active)
+            for (unsigned g : active)
                 if (share[g] > 1 &&
                     (victim < 0 || share[g] > share[victim]))
-                    victim = g;
+                    victim = static_cast<int>(g);
             DBP_ASSERT(victim >= 0, "mcp: cannot fit groups");
             --share[victim];
             --used;
         }
-        std::vector<int> rem_order(active);
-        std::sort(rem_order.begin(), rem_order.end(), [&](int a, int b) {
-            double fa = exact[a] - std::floor(exact[a]);
-            double fb = exact[b] - std::floor(exact[b]);
-            if (fa != fb)
-                return fa > fb;
-            return a < b;
-        });
-        std::size_t oi = 0;
-        while (used < channels_) {
-            ++share[rem_order[oi % rem_order.size()]];
-            ++used;
-            ++oi;
-        }
+        roundByLargestRemainder(share, exact, active, channels_);
         unsigned next = 0;
-        for (int g : active) {
+        for (unsigned g : active) {
             for (unsigned i = 0; i < share[g]; ++i)
                 group_channels[g].push_back(next++);
         }
@@ -168,10 +133,7 @@ McpPolicy::onInterval(const std::vector<ThreadMemProfile> &profiles)
 
     PartitionAssignment out(numThreads_);
     for (unsigned t = 0; t < numThreads_; ++t) {
-        for (unsigned c : chans[t]) {
-            auto cc = channelColors(c);
-            out[t].insert(out[t].end(), cc.begin(), cc.end());
-        }
+        out[t] = layout_.ofChannels(chans[t]);
         std::sort(out[t].begin(), out[t].end());
     }
     return out;

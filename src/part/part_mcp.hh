@@ -70,14 +70,9 @@ class McpPolicy : public PartitionPolicy
     channelAssignment(const std::vector<ThreadMemProfile> &profiles) const;
 
   private:
-    /** All colors belonging to @p channel. */
-    std::vector<unsigned> channelColors(unsigned channel) const;
-
     unsigned numThreads_;
     unsigned channels_;
-    unsigned ranks_;
-    unsigned banks_;
-    unsigned subs_;
+    ColorLayout layout_;
     McpParams params_;
 
     /** Last adopted per-thread channel sets (to skip no-op updates). */

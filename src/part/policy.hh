@@ -4,13 +4,14 @@
  * profiles to per-thread bank-color sets. The PartitionManager applies
  * assignments through the OS model (allocation constraints + page
  * migration); policies are pure decision logic, which keeps them unit
- * testable.
+ * testable. ColorLayout is the one place that numbers the colors.
  */
 
 #ifndef DBPSIM_PART_POLICY_HH
 #define DBPSIM_PART_POLICY_HH
 
 #include <optional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -58,22 +59,94 @@ class PartitionPolicy
 };
 
 /**
- * Enumerate the machine colors in channel-spreading order: consecutive
- * positions alternate channel first, then rank, then bank index.
- * Slicing this sequence gives every slice the widest possible
- * channel/rank spread (preserves intra-thread parallelism).
- *
- * With subarray coloring (@p subarrays > 1) each bank contributes
- * @p subarrays consecutive colors, so positions [k*subarrays,
- * (k+1)*subarrays) are the subarrays of the k-th bank of the spread
- * sequence: slices at whole-bank multiples still own whole banks, and
- * policies that think in bank units scale their counts by
- * @p subarrays.
+ * A policy that keeps one assignment for the whole run: "none" (every
+ * thread may allocate everywhere) and "ubp" (the equal bank split DBP
+ * improves on, which caps every thread's bank-level parallelism at
+ * banks/threads regardless of need).
  */
-std::vector<unsigned> channelSpreadColorOrder(unsigned channels,
-                                              unsigned ranks,
-                                              unsigned banks,
-                                              unsigned subarrays = 1);
+class StaticPolicy : public PartitionPolicy
+{
+  public:
+    StaticPolicy(std::string name, PartitionAssignment assignment)
+        : name_(std::move(name)), assignment_(std::move(assignment))
+    {
+    }
+
+    std::string name() const override { return name_; }
+
+    PartitionAssignment initialAssignment() override { return assignment_; }
+
+    std::optional<PartitionAssignment>
+    onInterval(const std::vector<ThreadMemProfile> &profiles) override
+    {
+        (void)profiles;
+        return std::nullopt;
+    }
+
+  private:
+    std::string name_;
+    PartitionAssignment assignment_;
+};
+
+/**
+ * The machine's colors: one per bank, or one per (bank, subarray)
+ * under subarray coloring, numbered as the address map numbers them
+ * (channel, then rank, bank and subarray). Policies slice the
+ * channel-spreading order, in which consecutive banks alternate
+ * channel first, then rank, then bank index, so every slice has the
+ * widest channel/rank spread (intra-thread parallelism). A bank's
+ * subarrays are adjacent in that order: slices at whole-bank
+ * multiples own whole banks, and policies that think in banks scale
+ * their counts by subarrays().
+ */
+class ColorLayout
+{
+  public:
+    ColorLayout(unsigned channels, unsigned ranks, unsigned banks,
+                unsigned subarrays = 1);
+
+    /** Machine-wide banks. */
+    unsigned banks() const
+    {
+        return static_cast<unsigned>(spread_.size()) / subs_;
+    }
+
+    /** Colors per bank. */
+    unsigned subarrays() const { return subs_; }
+
+    /** Every color in channel-spreading order. */
+    const std::vector<unsigned> &spread() const { return spread_; }
+
+    /** Every color, ascending. */
+    std::vector<unsigned> all() const;
+
+    /** The colors of @p channel_list, in channel-spreading order. */
+    std::vector<unsigned>
+    ofChannels(const std::vector<unsigned> &channel_list) const;
+
+    /**
+     * The equal split: contiguous whole-bank slices of the spread
+     * order, the remainder one bank each to the first threads. When
+     * @p threads outnumber the banks, thread t gets bank t mod banks.
+     */
+    PartitionAssignment equalSplit(unsigned threads) const;
+
+  private:
+    unsigned colorsPerChannel_;
+    unsigned subs_;
+    std::vector<unsigned> spread_;
+};
+
+/**
+ * Largest-remainder rounding. @p counts holds whole shares of the
+ * exact values @p exact; raise the entries named in @p eligible by
+ * one each, largest fractional part of @p exact first and ties to the
+ * lower index, cycling through them until @p counts sums to @p total.
+ */
+void roundByLargestRemainder(std::vector<unsigned> &counts,
+                             const std::vector<double> &exact,
+                             std::vector<unsigned> eligible,
+                             unsigned total);
 
 } // namespace dbpsim
 

@@ -89,9 +89,11 @@ aloneIpcWithBanks(const RunConfig &rc, const std::string &app,
     std::vector<TraceSource *> raw{source.get()};
     System sys(params, raw);
 
-    auto order = channelSpreadColorOrder(params.geometry.channels,
-                                         params.geometry.ranksPerChannel,
-                                         params.geometry.banksPerRank);
+    const std::vector<unsigned> order =
+        ColorLayout(params.geometry.channels,
+                    params.geometry.ranksPerChannel,
+                    params.geometry.banksPerRank)
+            .spread();
     DBP_ASSERT(banks >= 1 && banks <= order.size(),
                "bank count out of range");
     std::vector<unsigned> colors(order.begin(), order.begin() + banks);

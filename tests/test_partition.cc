@@ -1,6 +1,8 @@
 /**
  * @file
- * Partitioning tests: UBP's equal disjoint channel-spread shares,
+ * Partitioning tests: the color layout, UBP's equal disjoint
+ * channel-spread shares and the one whole-bank carve every
+ * equal-split policy starts from,
  * DBP's demand estimation, proportional allocation, hysteresis and
  * incremental (migration-minimizing) reassignment, MCP's grouping,
  * the factory, and the PartitionManager's OS enforcement + migration
@@ -9,15 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
+#include <tuple>
 
 #include "mem/sched_frfcfs.hh"
 #include "part/manager.hh"
 #include "part/part_dbp.hh"
 #include "part/part_factory.hh"
 #include "part/part_mcp.hh"
-#include "part/part_none.hh"
-#include "part/part_ubp.hh"
 
 namespace dbpsim {
 namespace {
@@ -56,9 +60,24 @@ channelOfColor(unsigned color)
     return color / (kRanks * kBanks);
 }
 
+/** A factory-built policy on the kChan x kRanks x kBanks machine. */
+std::unique_ptr<PartitionPolicy>
+makePolicy(const std::string &name, unsigned threads,
+           unsigned subarrays = 1)
+{
+    PartitionInit init;
+    init.numThreads = threads;
+    init.geometry.channels = kChan;
+    init.geometry.ranksPerChannel = kRanks;
+    init.geometry.banksPerRank = kBanks;
+    init.coloredSubarrays = subarrays;
+    return makePartitionPolicy(name, init);
+}
+
 TEST(ColorOrder, CoversAllColorsOnce)
 {
-    auto order = channelSpreadColorOrder(kChan, kRanks, kBanks);
+    const std::vector<unsigned> order =
+        ColorLayout(kChan, kRanks, kBanks).spread();
     EXPECT_EQ(order.size(), kColors);
     std::set<unsigned> unique(order.begin(), order.end());
     EXPECT_EQ(unique.size(), kColors);
@@ -66,7 +85,8 @@ TEST(ColorOrder, CoversAllColorsOnce)
 
 TEST(ColorOrder, ConsecutiveEntriesAlternateChannels)
 {
-    auto order = channelSpreadColorOrder(kChan, kRanks, kBanks);
+    const std::vector<unsigned> order =
+        ColorLayout(kChan, kRanks, kBanks).spread();
     // Within every group of kChan entries, all channels appear.
     for (std::size_t i = 0; i + kChan <= order.size(); i += kChan) {
         std::set<unsigned> chans;
@@ -78,8 +98,7 @@ TEST(ColorOrder, ConsecutiveEntriesAlternateChannels)
 
 TEST(Ubp, EqualDisjointSpanningShares)
 {
-    UbpPolicy ubp(8, kChan, kRanks, kBanks);
-    PartitionAssignment a = ubp.initialAssignment();
+    PartitionAssignment a = makePolicy("ubp", 8)->initialAssignment();
     ASSERT_EQ(a.size(), 8u);
 
     std::set<unsigned> all;
@@ -98,8 +117,8 @@ TEST(Ubp, EqualDisjointSpanningShares)
 
 TEST(Ubp, RemainderGoesToFirstThreads)
 {
-    UbpPolicy ubp(3, kChan, kRanks, kBanks); // 32 / 3.
-    PartitionAssignment a = ubp.initialAssignment();
+    PartitionAssignment a =
+        makePolicy("ubp", 3)->initialAssignment(); // 32 / 3.
     EXPECT_EQ(a[0].size(), 11u);
     EXPECT_EQ(a[1].size(), 11u);
     EXPECT_EQ(a[2].size(), 10u);
@@ -107,11 +126,59 @@ TEST(Ubp, RemainderGoesToFirstThreads)
 
 TEST(Ubp, StaticPolicyNeverRepartitions)
 {
-    UbpPolicy ubp(4, kChan, kRanks, kBanks);
-    ubp.initialAssignment();
+    auto ubp = makePolicy("ubp", 4);
+    ubp->initialAssignment();
     std::vector<ThreadMemProfile> profiles(4, profile(10, 0.5, 3));
-    EXPECT_FALSE(ubp.onInterval(profiles).has_value());
+    EXPECT_FALSE(ubp->onInterval(profiles).has_value());
 }
+
+/** (colors per bank, threads) on the kChan x kRanks x kBanks machine. */
+class InitialCarve
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(InitialCarve, EqualSplitPoliciesAgreeInWholeBanks)
+{
+    const auto [subs, threads] = GetParam();
+    const PartitionAssignment ubp =
+        makePolicy("ubp", threads, subs)->initialAssignment();
+    EXPECT_EQ(makePolicy("dbp", threads, subs)->initialAssignment(), ubp);
+    EXPECT_EQ(makePolicy("dbp-mcp", threads, subs)->initialAssignment(),
+              ubp);
+    ASSERT_EQ(ubp.size(), threads);
+    std::size_t smallest = kColors * subs;
+    std::size_t largest = 0;
+    for (const auto &set : ubp) {
+        std::map<unsigned, unsigned> per_bank;
+        for (unsigned c : set)
+            ++per_bank[c / subs];
+        for (const auto &[bank, colors] : per_bank)
+            EXPECT_EQ(colors, subs) << "bank " << bank << " is split";
+        smallest = std::min(smallest, set.size());
+        largest = std::max(largest, set.size());
+    }
+    EXPECT_GE(smallest, subs);
+    EXPECT_LE(largest - smallest, subs); // equal up to one bank.
+}
+
+TEST_P(InitialCarve, NoneGivesEveryThreadEveryColor)
+{
+    const auto [subs, threads] = GetParam();
+    std::vector<unsigned> all(kColors * subs);
+    std::iota(all.begin(), all.end(), 0u);
+    EXPECT_EQ(makePolicy("none", threads, subs)->initialAssignment(),
+              PartitionAssignment(threads, all));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SubarraysThreads, InitialCarve,
+    ::testing::Combine(::testing::Values(1u, 2u),
+                       ::testing::Values(3u, 8u, 40u)),
+    [](const ::testing::TestParamInfo<InitialCarve::ParamType> &p) {
+        return "s" + std::to_string(std::get<0>(p.param)) + "_t" +
+            std::to_string(std::get<1>(p.param));
+    });
 
 TEST(Dbp, InitialAssignmentIsEqual)
 {
