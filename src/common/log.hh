@@ -108,18 +108,6 @@ inform(Args &&...args)
     detail::emit(LogLevel::Info, "info", os.str());
 }
 
-/** High-volume debugging message. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() < LogLevel::Debug)
-        return;
-    std::ostringstream os;
-    (os << ... << args);
-    detail::emit(LogLevel::Debug, "debug", os.str());
-}
-
 } // namespace dbpsim
 
 /**

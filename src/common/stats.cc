@@ -17,7 +17,6 @@ void
 StatHistogram::sample(double v)
 {
     ++count_;
-    sum_ += v;
     if (v < 0) {
         ++overflow_;
         return;
@@ -36,7 +35,6 @@ StatHistogram::reset()
         b = 0;
     overflow_ = 0;
     count_ = 0;
-    sum_ = 0.0;
 }
 
 void

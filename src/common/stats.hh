@@ -61,13 +61,6 @@ class StatHistogram
     /** Total sample count. */
     std::uint64_t count() const { return count_; }
 
-    /** Mean of all samples. */
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-    }
-
     /** Number of regular buckets. */
     std::size_t bucketCount() const { return buckets_.size(); }
 
@@ -82,7 +75,6 @@ class StatHistogram
     double width_;
     std::uint64_t overflow_ = 0;
     std::uint64_t count_ = 0;
-    double sum_ = 0.0;
 };
 
 /**

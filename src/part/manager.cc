@@ -66,7 +66,6 @@ PartitionManager::apply(const PartitionAssignment &assignment)
 {
     DBP_ASSERT(assignment.size() == os_.numThreads(),
                "assignment size != thread count");
-    current_ = assignment;
     for (unsigned t = 0; t < assignment.size(); ++t) {
         auto tid = static_cast<ThreadId>(t);
         os_.setColorSet(tid, assignment[t]);

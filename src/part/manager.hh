@@ -83,13 +83,6 @@ class PartitionManager
         const std::vector<std::pair<unsigned, unsigned>> &moves,
         Cycle mem_now);
 
-    /** The current per-thread color sets. */
-    const PartitionAssignment &assignment() const { return current_; }
-
-    /** The decision policy. */
-    PartitionPolicy &policy() { return *policy_; }
-    const PartitionPolicy &policy() const { return *policy_; }
-
     /** @name Counters. */
     /// @{
     StatScalar statRepartitions;  ///< adopted partition changes.
@@ -115,7 +108,6 @@ class PartitionManager
     const AddressMap &map_;
     PartitionManagerParams params_;
 
-    PartitionAssignment current_;
     Cycle pageMoveCost_; ///< bus cycles per page per side.
 };
 

@@ -63,8 +63,6 @@ class System : public CoreMemoryInterface
     const SystemParams &params() const { return params_; }
     const AddressMap &addressMap() const { return map_; }
     OsMemory &osMemory() { return *os_; }
-    ThreadProfiler &profiler() { return *profiler_; }
-    Scheduler &scheduler() { return *scheduler_; }
     PartitionManager &partitionManager() { return *partMgr_; }
     MemoryController &controllerAt(unsigned i)
     {
