@@ -11,8 +11,8 @@
  * is captured as JSON (one entry per interval), rendered as the usual
  * tables, and optionally written with out=FILE for offline plotting.
  *
- * Usage: partition_explorer [mix=W04] [intervals=12] [out=FILE]
- *        [key=value ...]
+ * Usage: partition_explorer [mix=W04] [part=dbp] [sched=fr-fcfs]
+ *        [intervals=12] [out=FILE] [key=value ...]
  */
 
 #include <fstream>
@@ -140,12 +140,15 @@ int
 main(int argc, char **argv)
 {
     Config config;
-    config.set("part", "dbp"); // watch DBP unless part= says otherwise.
     config.parseArgs(argc, argv);
-    RunConfig rc = makeRunConfig(config, {"mix", "intervals", "out"});
+    RunConfig rc = makeRunConfig(
+        config, {"mix", "part", "sched", "intervals", "out"});
 
     const WorkloadMix &mix = mixByName(config.getString("mix", "W04"));
     rc.base.numCores = static_cast<unsigned>(mix.apps.size());
+    // Watch DBP unless part= says otherwise.
+    rc.base.partition = config.getString("part", "dbp");
+    rc.base.scheduler = config.getString("sched", rc.base.scheduler);
     unsigned intervals =
         static_cast<unsigned>(config.getUInt("intervals", 12));
 

@@ -3,13 +3,15 @@
  * Quickstart: build a 4-core system, run one workload mix under
  * FR-FCFS and under DBP, and print the paper's metrics side by side.
  *
- * Usage: quickstart [key=value ...]
- *   e.g. quickstart cores=8 banks=16 sched=tcm
+ * Usage: quickstart [cores=4] [key=value ...]
+ *   e.g. quickstart cores=8 banks=16
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
 #include "trace/mix.hh"
@@ -20,9 +22,13 @@ int
 main(int argc, char **argv)
 {
     Config config;
-    config.set("cores", "4"); // a 4-core demo unless cores= says otherwise.
     config.parseArgs(argc, argv);
-    const RunConfig rc = makeRunConfig(config);
+    RunConfig rc = makeRunConfig(config, {"cores"});
+    // A 4-core demo unless cores= says otherwise.
+    const std::uint64_t cores = config.getUInt("cores", 4);
+    if (cores == 0 || cores > std::numeric_limits<unsigned>::max())
+        fatal("value ", cores, " for key cores is out of range");
+    rc.base.numCores = static_cast<unsigned>(cores);
 
     // A small mix: two memory hogs and two light applications.
     WorkloadMix mix = scaleMix(

@@ -7,7 +7,8 @@
  * Usage:
  *   trace_tools gen app=mcf count=100000 out=mcf.trace
  *   trace_tools stat in=mcf.trace
- *   trace_tools replay in=mcf.trace corunners=lbm,gcc
+ *   trace_tools replay in=mcf.trace corunners=lbm,gcc [sched=tcm]
+ *       [part=dbp]
  */
 
 #include <iostream>
@@ -97,9 +98,12 @@ cmdReplay(const Config &config)
         sources.push_back(others.back().get());
     }
 
-    RunConfig rc = makeRunConfig(config, {"in", "corunners"});
+    RunConfig rc =
+        makeRunConfig(config, {"in", "corunners", "sched", "part"});
     SystemParams &params = rc.base;
     params.numCores = static_cast<unsigned>(sources.size());
+    params.scheduler = config.getString("sched", params.scheduler);
+    params.partition = config.getString("part", params.partition);
 
     System system(params, sources);
     auto ipc = system.runAndMeasure(rc.warmupCpu, rc.measureCpu);

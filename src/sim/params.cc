@@ -191,7 +191,6 @@ std::span<const ParamRow>
 paramTable()
 {
     static constexpr ParamRow table[] = {
-        PARAM("cores", Policy, base.numCores),
         PARAM("cpu_ratio", Hardware, base.cpuRatio),
         PARAM("window", Hardware, base.core.windowSize),
         PARAM("issue_width", Hardware, base.core.issueWidth),
@@ -219,8 +218,6 @@ paramTable()
         PARAM("salp", Hardware, base.controller.salp),
         PARAM("tsa", Hardware, base.tsaOverride),
         PARAM("subarray_color", Hardware, base.subarrayColoring),
-        PARAM("sched", Policy, base.scheduler),
-        PARAM("part", Policy, base.partition),
         PARAM("tcm_cluster_thresh", Policy, base.sched.tcmClusterThresh),
         PARAM("tcm_shuffle", Policy, base.sched.tcmShuffleInterval),
         PARAM("atlas_quantum", Policy, base.sched.atlasQuantum),
@@ -276,11 +273,15 @@ makeRunConfig(const Config &cfg, const std::vector<std::string> &driver_keys)
               "shrink each thread's usable row-buffer set");
 
     // Values no machine can be built with: the constructors assert
-    // them, so reject them here as user errors. Every scheduler's
-    // keys are checked, because schemes choose the scheduler per job.
+    // them, so reject them here as user errors, before any job runs.
+    // Every scheduler's and DBP's keys are checked, because schemes
+    // choose the scheduler and the policy per job.
     const SystemParams &b = rc.base;
+    if (std::string err = b.geometry.validate(); !err.empty())
+        fatal("invalid DRAM geometry: ", err);
+    if (std::string err = b.timing().validate(); !err.empty())
+        fatal("invalid DRAM timing: ", err);
     const std::pair<const char *, std::uint64_t> at_least_one[] = {
-        {"cores", b.numCores},
         {"cpu_ratio", b.cpuRatio},
         {"window", b.core.windowSize},
         {"issue_width", b.core.issueWidth},
@@ -306,6 +307,10 @@ makeRunConfig(const Config &cfg, const std::vector<std::string> &driver_keys)
     if (!(thresh >= 0.0 && thresh <= 1.0))
         fatal("value ", thresh,
               " for key tcm_cluster_thresh is out of range [0, 1]");
+    if (!(b.dbp.lightBanksPerThread > 0.0))
+        fatal("value ", b.dbp.lightBanksPerThread,
+              " for key dbp_light_banks_per_thread is out of range "
+              "(must be > 0)");
     return rc;
 }
 

@@ -31,7 +31,8 @@ namespace dbpsim {
  */
 struct SystemParams
 {
-    /** Cores / hardware threads (one application each). */
+    /** Cores / hardware threads (one application each). Not a table
+     *  key: every job sets it from its mix. */
     unsigned numCores = 8;
 
     /** CPU cycles per memory-bus cycle (3.2 GHz over 800 MHz). */
@@ -73,13 +74,15 @@ struct SystemParams
     /** Controller queues and drain watermarks. */
     ControllerParams controller;
 
-    /** Scheduler name: fcfs | fr-fcfs | par-bs | atlas | tcm. */
+    /** Scheduler name: fcfs | fr-fcfs | par-bs | atlas | tcm. Not a
+     *  table key: every job sets it from its scheme. */
     std::string scheduler = "fr-fcfs";
 
     /** Scheduler tuning. */
     SchedulerInit sched;
 
-    /** Partition policy name: none | ubp | dbp | mcp | dbp-mcp. */
+    /** Partition policy name: none | ubp | dbp | mcp | dbp-mcp. Not
+     *  a table key: every job sets it from its scheme. */
     std::string partition = "none";
 
     /** DBP tuning. */

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "sim/params.hh"
@@ -23,7 +24,6 @@ TEST(ParamTable, EveryKeyMovesItsSignatures)
     // One non-default value per table key; a new row without a value
     // here fails below.
     const std::map<std::string, std::string> values = {
-        {"cores", "3"},
         {"cpu_ratio", "5"},
         {"window", "64"},
         {"issue_width", "2"},
@@ -49,8 +49,6 @@ TEST(ParamTable, EveryKeyMovesItsSignatures)
         {"salp", "masa"},
         {"tsa", "3"},
         {"subarray_color", "1"},
-        {"sched", "tcm"},
-        {"part", "dbp"},
         {"tcm_cluster_thresh", "0.2"},
         {"tcm_shuffle", "400"},
         {"atlas_quantum", "100000"},
@@ -100,6 +98,19 @@ TEST(ParamTable, MisspelledKeyIsFatalAndNamesTheNearest)
                 "unknown config key 'refersh'.*did you mean 'refresh'");
 }
 
+TEST(ParamTable, KeysEveryJobSetsAreUnknown)
+{
+    // Each job takes its core count from its mix and its scheduler and
+    // policy from its scheme, so these keys would change no result.
+    for (const std::string key : {"cores", "sched", "part"}) {
+        Config cfg;
+        cfg.set(key, "4");
+        EXPECT_EXIT(makeRunConfig(cfg), ::testing::ExitedWithCode(1),
+                    "unknown config key '" + key + "'")
+            << key;
+    }
+}
+
 TEST(ParamTable, DriverKeysAreAccepted)
 {
     Config cfg;
@@ -129,7 +140,6 @@ TEST(ParamTable, OutOfRangeUnsignedIsFatal)
 TEST(ParamTable, ValueNoMachineCanBuildIsFatal)
 {
     const std::pair<std::string, std::string> cases[] = {
-        {"cores", "0"},
         {"cpu_ratio", "0"},
         {"window", "0"},
         {"issue_width", "0"},
@@ -144,12 +154,28 @@ TEST(ParamTable, ValueNoMachineCanBuildIsFatal)
         {"parbs_cap", "0"},
         {"interval", "0"}, // every CPU cycle would close an interval.
         {"measure", "0"},
+        {"dbp_light_banks_per_thread", "0"},
     };
     for (const auto &[key, value] : cases) {
         Config cfg;
         cfg.set(key, value);
         EXPECT_EXIT(makeRunConfig(cfg), ::testing::ExitedWithCode(1),
                     "for key " + key + " is out of range")
+            << key << '=' << value;
+    }
+
+    // Geometry and timing are checked whole, before any job builds a
+    // machine from them.
+    const std::tuple<std::string, std::string, std::string> machines[] = {
+        {"rows", "3", "invalid DRAM geometry: .*powers of two"},
+        {"timing", "bogus", "unknown DRAM timing preset 'bogus'"},
+        {"trfc", "1", "invalid DRAM timing: .*tRFCpb"},
+    };
+    for (const auto &[key, value, message] : machines) {
+        Config cfg;
+        cfg.set(key, value);
+        EXPECT_EXIT(makeRunConfig(cfg), ::testing::ExitedWithCode(1),
+                    message)
             << key << '=' << value;
     }
 

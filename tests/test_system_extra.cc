@@ -182,18 +182,12 @@ TEST(SystemCompose, DbpTcmBeatsTcmOnVictimLocality)
 TEST(SystemConfig, AppliesOverrides)
 {
     Config cfg;
-    cfg.parseToken("cores=3");
     cfg.parseToken("banks=16");
-    cfg.parseToken("sched=atlas");
-    cfg.parseToken("part=ubp");
     cfg.parseToken("migration=none");
     cfg.parseToken("timing=ddr3-1333");
     cfg.parseToken("window=64");
     const SystemParams p = makeRunConfig(cfg).base;
-    EXPECT_EQ(p.numCores, 3u);
     EXPECT_EQ(p.geometry.banksPerRank, 16u);
-    EXPECT_EQ(p.scheduler, "atlas");
-    EXPECT_EQ(p.partition, "ubp");
     EXPECT_EQ(p.partMgr.migration, MigrationMode::None);
     EXPECT_EQ(p.timingName, "ddr3-1333");
     EXPECT_EQ(p.core.windowSize, 64u);
