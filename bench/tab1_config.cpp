@@ -6,6 +6,7 @@
  */
 
 #include "bench_common.hh"
+#include "common/log.hh"
 #include "dram/timing.hh"
 
 namespace {
@@ -17,6 +18,45 @@ void
 plan(CampaignPlan &, CampaignContext &)
 {
     // Render-only: the table is derived from the configuration itself.
+}
+
+/** The row-buffer policy the controllers run. */
+std::string
+pagePolicyText(const ControllerParams &c)
+{
+    switch (c.pagePolicy) {
+      case PagePolicy::Open:
+        return "open-page";
+      case PagePolicy::Closed:
+        return "closed-page";
+      case PagePolicy::OpenAdaptive:
+        return "open-page, idle rows closed after " +
+            std::to_string(c.rowIdleTimeout) + " bus cycles";
+    }
+    DBP_PANIC("unreachable PagePolicy");
+}
+
+/** How adopted partitions treat already-allocated pages. */
+std::string
+migrationText(const PartitionManagerParams &m)
+{
+    const std::string cost =
+        "cost = 1 page of bursts at source and destination banks";
+    const std::string cap = m.maxMigratePages == 0
+        ? "no cap"
+        : "cap " + std::to_string(m.maxMigratePages) +
+            " pages per interval";
+    switch (m.migration) {
+      case MigrationMode::None:
+        return "none, only new allocations follow a repartition";
+      case MigrationMode::Lazy:
+        return "lazy, on touch, " + cost;
+      case MigrationMode::Eager:
+        return "eager, " + cost + ", " + cap;
+      case MigrationMode::EagerFree:
+        return "eager at zero cost, " + cap;
+    }
+    DBP_PANIC("unreachable MigrationMode");
 }
 
 void
@@ -58,8 +98,8 @@ render(CampaignRun &run, std::ostream &os)
         std::to_string(p.controller.writeQueueSize) +
         "-entry write queue, drain " +
         std::to_string(p.controller.writeHiWatermark) + "/" +
-        std::to_string(p.controller.writeLoWatermark) +
-        ", open-page");
+        std::to_string(p.controller.writeLoWatermark) + ", " +
+        pagePolicyText(p.controller));
     row("address map",
         "page interleave (frame-homogeneous banks; page coloring)");
     row("profiling interval",
@@ -69,9 +109,7 @@ render(CampaignRun &run, std::ostream &os)
         ", hysteresis " + std::to_string(p.dbp.hysteresisBanks) +
         " bank(s), light share cap " +
         formatDouble(p.dbp.lightShareCap, 2));
-    row("migration", "eager, cost = 1 page of bursts at source and "
-        "destination banks, cap " +
-        std::to_string(p.partMgr.maxMigratePages) + " pages");
+    row("migration", migrationText(p.partMgr));
 
     table.print(os);
 }
