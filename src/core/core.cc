@@ -201,7 +201,8 @@ TraceCore::tick()
     retire();
     drainStoreBuffer();
 
-    if (!storeBuffer_.empty() || windowInstrs_ < params_.windowSize)
+    if (params_.fullTicks || !storeBuffer_.empty() ||
+        windowInstrs_ < params_.windowSize)
         return;
     const Entry &head = window_.front();
     const bool all_issued = nextIssue_ == popped_ + window_.size();

@@ -36,6 +36,10 @@ struct CoreParams
     unsigned mshrs = 32;           ///< outstanding load lines.
     unsigned storeBufferSize = 32; ///< pending stores.
     std::uint64_t lineBytes = 64;  ///< access granularity.
+
+    /** Take every tick in full: no bubble run, no sleep. The
+     *  reference the skips are tested against (tests only). */
+    bool fullTicks = false;
 };
 
 /**

@@ -379,7 +379,7 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
         consider(*guard.bestPre, DramCmd::Precharge, guard.bestPreRow);
     }
     if (!best) {
-        idle_ = QuietKey{horizon, channel_.generation(), pushes_};
+        idle_ = quietKey(horizon);
         idleWrites_ = writes;
         return false;
     }
@@ -501,8 +501,7 @@ MemoryController::tick(Cycle now)
     if (!refreshQuiet_.holds(now, channel_.generation(), pushes_)) {
         if (refresh_.tick(now))
             return; // command bus consumed by refresh management.
-        refreshQuiet_ = QuietKey{refresh_.quietUntil(),
-                                 channel_.generation(), pushes_};
+        refreshQuiet_ = quietKey(refresh_.quietUntil());
     }
 
     updateDrainMode();

@@ -61,6 +61,10 @@ struct ControllerParams
     Cycle rowIdleTimeout = 100;    ///< OpenAdaptive idle-close bound.
     RefreshParams refresh;         ///< refresh mode / window / DARP.
     SalpMode salp = SalpMode::None; ///< subarray-level parallelism.
+
+    /** Record no quiet horizon, so every tick runs in full: the
+     *  reference the skips are tested against (tests only). */
+    bool fullTicks = false;
 };
 
 /**
@@ -193,6 +197,15 @@ class MemoryController : public QueueView, public RefreshDemandView
                    pushes_now == pushes;
         }
     };
+
+    /** A key that holds until @p until for the channel and queues as
+     *  they are now; under fullTicks one that never holds. */
+    QuietKey
+    quietKey(Cycle until) const
+    {
+        return QuietKey{params_.fullTicks ? 0 : until,
+                        channel_.generation(), pushes_};
+    }
 
     /**
      * issueFromQueue's state for one (bank slot, subarray) group in

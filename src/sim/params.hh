@@ -119,6 +119,14 @@ struct SystemParams
     /** Panic on the first protocol violation (config "check_failfast"). */
     bool checkFailFast = false;
 
+    /**
+     * Take no skip: every core and controller tick runs in full, every
+     * cycle. Overrides core.fullTicks and controller.fullTicks. Not a
+     * table key: only tests set it, to compare a run against its
+     * full-tick reference.
+     */
+    bool fullTicks = false;
+
     /** Construct the evaluation-default parameters. */
     SystemParams();
 

@@ -46,6 +46,7 @@ System::System(const SystemParams &params,
 
     ControllerParams cparams = params_.controller;
     cparams.numThreads = params_.numCores;
+    cparams.fullTicks = params_.fullTicks;
     std::vector<MemoryController *> raw_controllers;
     for (unsigned ch = 0; ch < params_.geometry.channels; ++ch) {
         controllers_.push_back(std::make_unique<MemoryController>(
@@ -68,9 +69,11 @@ System::System(const SystemParams &params,
         raw_controllers, map_, params_.partMgr);
     partMgr_->start();
 
+    CoreParams core_params = params_.core;
+    core_params.fullTicks = params_.fullTicks;
     for (unsigned c = 0; c < params_.numCores; ++c) {
         cores_.push_back(std::make_unique<TraceCore>(
-            static_cast<ThreadId>(c), params_.core, sources[c], this));
+            static_cast<ThreadId>(c), core_params, sources[c], this));
     }
 
     nextInterval_ = params_.profileIntervalCpu;

@@ -1,17 +1,10 @@
 /**
  * @file
  * Run digests: one pinned hash per configuration over what a run
- * leaves behind beyond its campaign result. The golden campaign
- * digests (test_golden.cc) see IPCs and the metrics derived from
- * them; these also see
- *
- *  - every counter dumpStats() prints, the cores' head, MSHR and
- *    store-buffer stall counters among them;
- *  - the closed interval profiles, so the profiler's BLP, MLP and
- *    row-parallelism sums;
- *  - the cycle, target and thread of every DRAM command, hashed by a
- *    forwarding command observer that chains to the protocol checker
- *    when the configuration enables it.
+ * leaves behind beyond its campaign result (run_digest.hh lists what
+ * the digest covers). The golden campaign digests (test_golden.cc)
+ * see IPCs and the metrics derived from them; these also see every
+ * counter, the closed profiles and every DRAM command with its cycle.
  *
  * Each case builds its System as runMixJob() does at
  * warmup=20000 measure=40000 interval=10000 seed=42 with an explicit
@@ -25,15 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iomanip>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "sim/baseline.hh"
-#include "sim/schemes.hh"
-#include "sim/system.hh"
-#include "trace/mix.hh"
+#include "run_digest.hh"
 
 namespace dbpsim {
 namespace {
@@ -96,96 +84,14 @@ pins()
     return v;
 }
 
-/** FNV-1a step over one 64-bit value. */
-void
-mix64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-}
-
-/** Hashes every issued command, then forwards it to @p next. */
-class HashingObserver : public CommandObserver
-{
-  public:
-    explicit HashingObserver(CommandObserver *next) : next_(next) {}
-
-    void
-    onCommand(const CmdEvent &ev) override
-    {
-        mix64(hash, ev.channel);
-        mix64(hash, static_cast<std::uint64_t>(ev.cmd));
-        mix64(hash, ev.rank);
-        mix64(hash, ev.bank);
-        mix64(hash, ev.row);
-        mix64(hash, ev.cycle);
-        mix64(hash, static_cast<std::uint64_t>(ev.tid));
-        if (next_)
-            next_->onCommand(ev);
-    }
-
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-
-  private:
-    CommandObserver *next_;
-};
-
-std::string
-hex(std::uint64_t v)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << v;
-    return os.str();
-}
-
-/** Digest of one configuration's run. */
+/** Digest of one pinned configuration's run. */
 std::uint64_t
-runDigest(const RunPin &pin)
+pinDigest(const RunPin &pin)
 {
-    Config cfg;
-    for (const char *token :
-         {"warmup=20000", "measure=40000", "interval=10000", "seed=42"})
-        cfg.parseToken(token);
-    std::istringstream extra(pin.extra);
-    for (std::string token; extra >> token;)
-        cfg.parseToken(token);
-    RunConfig rc = makeRunConfig(cfg);
-
-    const WorkloadMix &mix = mixByName(pin.mix);
-    const Scheme &scheme = schemeByName(pin.scheme);
-    SystemParams params = applyScheme(rc.base, scheme);
-    params.numCores = static_cast<unsigned>(mix.apps.size());
-    auto owned = buildMixSources(
-        mix, jobSeed(rc.seedBase, mix.name, scheme.name));
-    std::vector<TraceSource *> sources;
-    for (auto &s : owned)
-        sources.push_back(s.get());
-
-    System system(params, sources);
-    HashingObserver commands(system.protocolChecker());
-    for (unsigned c = 0; c < system.numControllers(); ++c)
-        system.controllerAt(c).setCommandObserver(&commands);
-    std::vector<double> ipc =
-        system.runAndMeasure(rc.warmupCpu, rc.measureCpu);
-    system.closeIntervalNow();
-
-    std::ostringstream os;
-    system.dumpStats(os);
-    os << std::setprecision(17);
-    for (double v : ipc)
-        os << "ipc " << v << '\n';
-    for (const ThreadMemProfile &p : system.lastIntervalProfiles())
-        os << "profile " << p.mpki << ' ' << p.rowBufferHitRate << ' '
-           << p.blp << ' ' << p.mlp << ' ' << p.rowParallelism << ' '
-           << p.requests << '\n';
-    os << "commands " << hex(commands.hash) << '\n';
-    if (ProtocolChecker *pc = system.protocolChecker()) {
-        pc->finalize(system.memCycle());
-        EXPECT_EQ(pc->violations(), 0u) << pin.label;
-    }
-    return hashString(os.str());
+    const RunConfig rc = runConfigFromTokens(
+        std::string("warmup=20000 measure=40000 interval=10000 seed=42 ") +
+        pin.extra);
+    return runDigest(rc, mixByName(pin.mix), schemeByName(pin.scheme));
 }
 
 /** Name a configuration by its label in gtest's failure output. */
@@ -202,10 +108,10 @@ class RunDigest : public ::testing::TestWithParam<RunPin>
 TEST_P(RunDigest, MatchesPin)
 {
     const RunPin &pin = GetParam();
-    const std::uint64_t digest = runDigest(pin);
+    const std::uint64_t digest = pinDigest(pin);
     EXPECT_EQ(digest, pin.digest)
-        << pin.label << " computed " << hex(digest) << ", pinned "
-        << hex(pin.digest);
+        << pin.label << " computed " << hexDigest(digest) << ", pinned "
+        << hexDigest(pin.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
