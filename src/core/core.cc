@@ -114,7 +114,10 @@ TraceCore::readComplete(std::uint64_t tag)
     m.waiters.clear();
     DBP_ASSERT(mshrInUse_ > 0, "mshrInUse_ underflow");
     --mshrInUse_;
-    asleep_ = false;
+    if (asleep_) {
+        mem_->onCoreWake(tid_);
+        asleep_ = false;
+    }
 }
 
 void
@@ -181,19 +184,30 @@ TraceCore::retire()
 }
 
 void
-TraceCore::tick()
+TraceCore::skipTicks(Cycle n)
 {
     if (bubbleRun_ > 0) {
-        --bubbleRun_;
-        window_.front().count -= params_.issueWidth;
-        windowInstrs_ -= params_.issueWidth;
-        retired_ += params_.issueWidth;
-        return;
-    }
-    if (asleep_) {
-        statHeadStalls.inc();
+        DBP_ASSERT(n <= bubbleRun_, n << " ticks skipped in a bubble run "
+                   "of " << bubbleRun_);
+        const std::uint64_t instrs = n * params_.issueWidth;
+        bubbleRun_ -= n;
+        window_.front().count -= instrs;
+        windowInstrs_ -= instrs;
+        retired_ += instrs;
+    } else if (asleep_) {
+        statHeadStalls.inc(n);
         if (asleepOnMshrs_)
-            statMshrStalls.inc();
+            statMshrStalls.inc(n);
+    } else {
+        DBP_ASSERT(n == 0, n << " ticks skipped on a core that is due");
+    }
+}
+
+void
+TraceCore::tick()
+{
+    if (bubbleRun_ > 0 || asleep_) {
+        skipTicks(1);
         return;
     }
     fetch();

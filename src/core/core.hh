@@ -62,6 +62,15 @@ class CoreMemoryInterface
 
     /** Issue a posted store; false = retry later. */
     virtual bool issueStore(ThreadId tid, Addr vaddr) = 0;
+
+    /**
+     * A read completion is waking core @p tid from sleep. Called
+     * before the core clears its sleep, so a caller that stopped
+     * ticking the sleeping core can apply the quiet ticks it skipped,
+     * the current cycle's included. A caller that ticks every core
+     * every cycle has nothing to do.
+     */
+    virtual void onCoreWake(ThreadId tid) { (void)tid; }
 };
 
 /**
@@ -81,6 +90,21 @@ class TraceCore : public MemClient
 
     /** Advance one CPU cycle. */
     void tick();
+
+    /**
+     * How many coming ticks would only count: the rest of a bubble
+     * run, kNeverCycle while asleep (until a readComplete()), else 0.
+     */
+    Cycle
+    quietTicks() const
+    {
+        if (bubbleRun_ > 0)
+            return bubbleRun_;
+        return asleep_ ? kNeverCycle : 0;
+    }
+
+    /** Apply @p n quiet ticks at once; @p n <= quietTicks(). */
+    void skipTicks(Cycle n);
 
     /** MemClient: a load line returned. @p tag is the MSHR index. */
     void readComplete(std::uint64_t tag) override;

@@ -84,6 +84,7 @@ bool
 MemoryController::enqueueRead(Addr paddr, ThreadId tid, MemClient *client,
                               std::uint64_t tag, Cycle now)
 {
+    wakeAt_ = 0;
     // Write-to-read forwarding: a queued store to the same line
     // supplies the data without touching DRAM.
     for (const auto &w : writeQ_) {
@@ -127,6 +128,7 @@ MemoryController::enqueueRead(Addr paddr, ThreadId tid, MemClient *client,
 bool
 MemoryController::enqueueWrite(Addr paddr, ThreadId tid, Cycle now)
 {
+    wakeAt_ = 0;
     // Coalesce with an already-queued store to the same line.
     for (auto &w : writeQ_) {
         if (w.paddr == paddr) {
@@ -173,6 +175,7 @@ void
 MemoryController::applyMigrationCost(unsigned rank, unsigned bank,
                                      Cycle now, Cycle busy_cycles)
 {
+    wakeAt_ = 0;
     channel_.blockBank(rank, bank, now, busy_cycles);
 }
 
@@ -221,21 +224,21 @@ MemoryController::hasRankDemand(unsigned rank) const
     return rankDemand_[rank] != 0;
 }
 
-void
-MemoryController::updateDrainMode()
+bool
+MemoryController::nextDrainMode() const
 {
-    if (writeMode_) {
+    bool mode = writeMode_;
+    if (mode) {
         if (writeQ_.size() <= params_.writeLoWatermark)
-            writeMode_ = false;
+            mode = false;
     } else {
         if (writeQ_.size() >= params_.writeHiWatermark)
-            writeMode_ = true;
+            mode = true;
         else if (readQ_.empty() && inflight_.empty() &&
                  writeQ_.size() >= params_.idleWriteThresh)
-            writeMode_ = true;
+            mode = true;
     }
-    if (writeMode_ && writeQ_.empty())
-        writeMode_ = false;
+    return mode && !writeQ_.empty();
 }
 
 MemoryController::ScanGroup &
@@ -492,7 +495,7 @@ MemoryController::closeIdleRows(Cycle now)
 }
 
 void
-MemoryController::tick(Cycle now)
+MemoryController::tickAwake(Cycle now)
 {
     completeReads(now);
 
@@ -511,11 +514,35 @@ MemoryController::tick(Cycle now)
         issued = issueFromQueue(writeQ_, true, now);
     else
         issued = issueFromQueue(readQ_, false, now);
+    if (issued)
+        return;
 
     // OpenAdaptive: spend an otherwise idle command slot closing rows
     // nobody wants anymore, hiding tRP from the next conflict.
-    if (!issued && params_.pagePolicy == PagePolicy::OpenAdaptive)
+    if (params_.pagePolicy == PagePolicy::OpenAdaptive)
         closeIdleRows(now);
+    else
+        sleepIfQuiet();
+}
+
+void
+MemoryController::sleepIfQuiet()
+{
+    // A drain mode that would flip again (write mode cleared at the
+    // low watermark, set again by the idle-write rule) keeps the
+    // controller awake.
+    if (nextDrainMode() != writeMode_)
+        return;
+    // Both keys hold: this tick either recorded them or was skipped
+    // by them, and nothing has issued since.
+    Cycle wake = refreshQuiet_.until;
+    if (!(writeMode_ ? writeQ_ : readQ_).empty())
+        wake = std::min(wake, idle_.until);
+    for (const Inflight &f : forwarded_)
+        wake = std::min(wake, f.doneAt);
+    for (const Inflight &f : inflight_)
+        wake = std::min(wake, f.doneAt);
+    wakeAt_ = wake;
 }
 
 } // namespace dbpsim

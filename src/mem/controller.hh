@@ -111,8 +111,23 @@ class MemoryController : public QueueView, public RefreshDemandView
      */
     bool enqueueWrite(Addr paddr, ThreadId tid, Cycle now);
 
-    /** Advance one memory-bus cycle: completions, refresh, one command. */
-    void tick(Cycle now);
+    /**
+     * Advance one memory-bus cycle: completions, refresh, one command.
+     * Returns at once before wakeAt().
+     */
+    void
+    tick(Cycle now)
+    {
+        if (now >= wakeAt_)
+            tickAwake(now);
+    }
+
+    /**
+     * The first memory cycle whose tick() may do anything; at or
+     * before the current cycle while awake. Set by a tick that issued
+     * nothing, cleared by every enqueue call and migration charge.
+     */
+    Cycle wakeAt() const { return wakeAt_; }
 
     /** QueueView: iterate queued (not yet issued) reads. */
     void forEachPendingRead(
@@ -236,11 +251,23 @@ class MemoryController : public QueueView, public RefreshDemandView
         std::uint64_t bestPreRow = 0;
     };
 
+    /** tick() past wakeAt(). */
+    void tickAwake(Cycle now);
+
+    /**
+     * After a tick that issued nothing: sleep until the first cycle
+     * whose tick may do anything (see wakeAt_).
+     */
+    void sleepIfQuiet();
+
     /** Deliver finished reads at or before @p now. */
     void completeReads(Cycle now);
 
+    /** The write-drain mode updateDrainMode() would set now. */
+    bool nextDrainMode() const;
+
     /** Recompute write-drain mode from queue depths. */
-    void updateDrainMode();
+    void updateDrainMode() { writeMode_ = nextDrainMode(); }
 
     /**
      * Pick and issue one command from @p queue (current mode).
@@ -313,6 +340,20 @@ class MemoryController : public QueueView, public RefreshDemandView
      */
     QuietKey idle_;
     bool idleWrites_ = false;
+
+    /**
+     * Before this cycle a tick is a no-op: no read or forward
+     * completes, the refresh horizon holds, the active queue is empty
+     * or its scan horizon holds, and the drain mode is at a fixed
+     * point of updateDrainMode(), so the next tick's mode is this
+     * tick's. Exact because the two keys hold while nothing issues and
+     * nothing is pushed, and every call that could change what a tick
+     * sees (an enqueue, forwarded or not, and a migration charge)
+     * clears it. Never set under OpenAdaptive, whose idle-row closes
+     * depend on the cycle alone, nor under fullTicks, whose keys never
+     * hold.
+     */
+    Cycle wakeAt_ = 0;
 
     /** A read issued to DRAM, waiting for its data burst to finish. */
     struct Inflight

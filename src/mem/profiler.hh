@@ -66,6 +66,9 @@ class ThreadProfiler
     /** Count one memory-bus cycle; call exactly once per cycle. */
     void tick() { ++ticks_; }
 
+    /** Count @p n memory-bus cycles at once (cycles a system skips). */
+    void tick(std::uint64_t n) { ticks_ += n; }
+
     /**
      * Close the interval: combine with per-thread instruction and
      * footprint counts (collected by the system from cores / OS) and

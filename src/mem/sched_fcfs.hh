@@ -19,6 +19,13 @@ class FcfsScheduler : public Scheduler
   public:
     std::string name() const override { return "fcfs"; }
 
+    Cycle
+    nextTickAt(Cycle now) const override
+    {
+        (void)now;
+        return kNeverCycle; // tick() does nothing.
+    }
+
     bool
     higherPriority(const MemRequest &a, const MemRequest &b,
                    const SchedContext &ctx) const override

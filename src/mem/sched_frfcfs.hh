@@ -20,6 +20,13 @@ class FrFcfsScheduler : public Scheduler
   public:
     std::string name() const override { return "fr-fcfs"; }
 
+    Cycle
+    nextTickAt(Cycle now) const override
+    {
+        (void)now;
+        return kNeverCycle; // tick() does nothing.
+    }
+
     bool
     higherPriority(const MemRequest &a, const MemRequest &b,
                    const SchedContext &ctx) const override

@@ -59,6 +59,14 @@ class TcmScheduler : public Scheduler
                         const SchedContext &ctx) const override;
 
     void tick(Cycle now) override;
+
+    /** The next shuffle. */
+    Cycle
+    nextTickAt(Cycle now) const override
+    {
+        (void)now;
+        return nextShuffle_;
+    }
     void onIntervalProfiles(
         const std::vector<ThreadMemProfile> &profiles) override;
 

@@ -76,6 +76,14 @@ class Scheduler
     /** Called once per memory-bus cycle by the system. */
     virtual void tick(Cycle now) { (void)now; }
 
+    /**
+     * The first memory cycle at or after @p now whose tick() may
+     * change anything, if no other call comes first: a system may
+     * leave out the tick() calls before it. kNeverCycle when tick()
+     * does nothing. Default: @p now, so every cycle ticks.
+     */
+    virtual Cycle nextTickAt(Cycle now) const { return now; }
+
     /** A read entered some controller's queue. */
     virtual void onEnqueue(MemRequest &req) { (void)req; }
 

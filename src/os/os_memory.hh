@@ -81,6 +81,9 @@ class OsMemory
     /** Moves performed lazily since the last drain (src, dst colors). */
     std::vector<std::pair<unsigned, unsigned>> drainLazyMoves();
 
+    /** True when drainLazyMoves() would return a move. */
+    bool hasLazyMoves() const { return !pendingMoves_.empty(); }
+
     /** Pages currently mapped for a thread. */
     std::size_t mappedPages(ThreadId tid) const;
 

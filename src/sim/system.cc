@@ -1,5 +1,6 @@
 #include "sim/system.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -76,6 +77,7 @@ System::System(const SystemParams &params,
             static_cast<ThreadId>(c), core_params, sources[c], this));
     }
 
+    clocks_.resize(params_.numCores);
     nextInterval_ = params_.profileIntervalCpu;
     intervalInstrBase_.assign(params_.numCores, 0);
 }
@@ -100,8 +102,37 @@ System::issueStore(ThreadId tid, Addr vaddr)
 }
 
 void
+System::onCoreWake(ThreadId tid)
+{
+    // Completions come in the memory step, after every core's turn
+    // in this cycle: the sleeping core's tick of this cycle counts.
+    const auto c = static_cast<std::size_t>(tid);
+    settleCore(c, cpuCycle_ + 1);
+    clocks_[c].due = cpuCycle_ + 1;
+    coreDue_ = cpuCycle_ + 1;
+}
+
+void
+System::settleCore(std::size_t c, Cycle cycle)
+{
+    CoreClock &clock = clocks_[c];
+    if (clock.settled < cycle) {
+        cores_[c]->skipTicks(cycle - clock.settled);
+        clock.settled = cycle;
+    }
+}
+
+void
+System::settleCores()
+{
+    for (std::size_t c = 0; c < cores_.size(); ++c)
+        settleCore(c, cpuCycle_);
+}
+
+void
 System::intervalBoundary()
 {
+    settleCores();
     std::vector<std::uint64_t> instrs(params_.numCores, 0);
     std::vector<std::uint64_t> footprint(params_.numCores, 0);
     for (unsigned c = 0; c < params_.numCores; ++c) {
@@ -119,35 +150,79 @@ System::intervalBoundary()
 void
 System::tickCpu()
 {
-    for (auto &core : cores_)
-        core->tick();
+    coreDue_ = kNeverCycle;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        CoreClock &clock = clocks_[c];
+        if (clock.due <= cpuCycle_) {
+            settleCore(c, cpuCycle_);
+            TraceCore &core = *cores_[c];
+            core.tick();
+            clock.settled = cpuCycle_ + 1;
+            const Cycle quiet = core.quietTicks();
+            clock.due = quiet == kNeverCycle ? kNeverCycle
+                                             : clock.settled + quiet;
+        }
+        coreDue_ = std::min(coreDue_, clock.due);
+    }
 
     // Memory domain ticks once per cpuRatio CPU cycles.
-    if (cpuCycle_ % params_.cpuRatio == 0) {
+    if (cpuCycle_ == memCycle_ * params_.cpuRatio) {
         scheduler_->tick(memCycle_);
         for (auto &mc : controllers_)
             mc->tick(memCycle_);
         profiler_->tick();
 
         // Charge any lazily migrated pages to the involved banks.
-        auto moves = os_->drainLazyMoves();
-        if (!moves.empty())
-            partMgr_->applyLazyMoves(moves, memCycle_);
+        if (os_->hasLazyMoves())
+            partMgr_->applyLazyMoves(os_->drainLazyMoves(), memCycle_);
         ++memCycle_;
     }
 
     ++cpuCycle_;
-    if (cpuCycle_ >= nextInterval_) {
-        intervalBoundary();
-        nextInterval_ += params_.profileIntervalCpu;
-    }
+}
+
+Cycle
+System::nextMemoryStep() const
+{
+    if (os_->hasLazyMoves())
+        return memCycle_;
+    Cycle next = scheduler_->nextTickAt(memCycle_);
+    for (const auto &mc : controllers_)
+        next = std::min(next, mc->wakeAt());
+    return std::max(next, memCycle_);
 }
 
 void
 System::run(Cycle cpu_cycles)
 {
-    for (Cycle i = 0; i < cpu_cycles; ++i)
+    const Cycle end = cpuCycle_ + cpu_cycles;
+    const Cycle ratio = params_.cpuRatio;
+    while (cpuCycle_ < end) {
         tickCpu();
+
+        // Jump to the next cycle in which a core is due or the memory
+        // domain has work, never past an interval boundary or the end.
+        // (memCycle_ starts at CPU cycle memCycle_ * ratio; a memory
+        // step beyond `next` is capped so the product cannot overflow.)
+        Cycle next = std::min({end, nextInterval_, coreDue_});
+        if (next > cpuCycle_) {
+            const Cycle mem = std::min(nextMemoryStep(),
+                                       memCycle_ + (next - cpuCycle_));
+            next = std::min(next, mem * ratio);
+        }
+        if (next > cpuCycle_) {
+            const Cycle mem_next = ceilDiv(next, ratio);
+            profiler_->tick(mem_next - memCycle_);
+            memCycle_ = mem_next;
+            cpuCycle_ = next;
+        }
+
+        if (cpuCycle_ >= nextInterval_) {
+            intervalBoundary();
+            nextInterval_ += params_.profileIntervalCpu;
+        }
+    }
+    settleCores();
 }
 
 std::vector<InstCount>

@@ -40,7 +40,11 @@ class System : public CoreMemoryInterface
     System(const SystemParams &params,
            const std::vector<TraceSource *> &sources);
 
-    /** Advance @p cpu_cycles CPU cycles. */
+    /**
+     * Advance @p cpu_cycles CPU cycles. Cycles in which every core
+     * only counts and no memory step has work are jumped over, and
+     * every core is settled when run() returns.
+     */
     void run(Cycle cpu_cycles);
 
     /**
@@ -57,6 +61,10 @@ class System : public CoreMemoryInterface
     bool issueLoad(ThreadId tid, Addr vaddr, MemClient *client,
                    std::uint64_t tag) override;
     bool issueStore(ThreadId tid, Addr vaddr) override;
+
+    /** CoreMemoryInterface: settle a sleeping core through this cycle
+     *  and tick it again from the next. */
+    void onCoreWake(ThreadId tid) override;
 
     /** @name Component access (examples, tests, benches). */
     /// @{
@@ -122,8 +130,22 @@ class System : public CoreMemoryInterface
     double threadReadLatencyPercentile(ThreadId tid, double p) const;
 
   private:
-    /** One CPU cycle of work. */
+    /** One CPU cycle of work: the due cores, then the memory domain
+     *  when the cycle starts memory cycle memCycle_. */
     void tickCpu();
+
+    /**
+     * The first memory cycle, at or after memCycle_, whose memory step
+     * may do anything: a scheduler tick, an awake controller or a lazy
+     * move to charge.
+     */
+    Cycle nextMemoryStep() const;
+
+    /** Apply core @p c's quiet ticks before CPU cycle @p cycle. */
+    void settleCore(std::size_t c, Cycle cycle);
+
+    /** Settle every core through the current cycle. */
+    void settleCores();
 
     /** Close the profiling interval and notify consumers. */
     void intervalBoundary();
@@ -137,6 +159,22 @@ class System : public CoreMemoryInterface
     std::vector<std::unique_ptr<MemoryController>> controllers_;
     std::unique_ptr<PartitionManager> partMgr_;
     std::vector<std::unique_ptr<TraceCore>> cores_;
+
+    /**
+     * Per core: its ticks before `settled` are applied, and the next
+     * tick that must run in full is at `due` (kNeverCycle while it
+     * sleeps). The ticks in between only count, so run() leaves them
+     * out and applies them in one skipTicks() call before anything
+     * reads the core: its next full tick, an interval boundary, the
+     * end of run() and a wake-up.
+     */
+    struct CoreClock
+    {
+        Cycle settled = 0;
+        Cycle due = 0;
+    };
+    std::vector<CoreClock> clocks_;
+    Cycle coreDue_ = 0; ///< the earliest clocks_[c].due.
 
     Cycle cpuCycle_ = 0;
     Cycle memCycle_ = 0;

@@ -23,33 +23,21 @@ mix64(std::uint64_t &h, std::uint64_t v)
     }
 }
 
-/** Hashes every issued command, then forwards it to @p next. */
-class HashingObserver : public CommandObserver
-{
-  public:
-    explicit HashingObserver(CommandObserver *next) : next_(next) {}
-
-    void
-    onCommand(const CmdEvent &ev) override
-    {
-        mix64(hash, ev.channel);
-        mix64(hash, static_cast<std::uint64_t>(ev.cmd));
-        mix64(hash, ev.rank);
-        mix64(hash, ev.bank);
-        mix64(hash, ev.row);
-        mix64(hash, ev.cycle);
-        mix64(hash, static_cast<std::uint64_t>(ev.tid));
-        if (next_)
-            next_->onCommand(ev);
-    }
-
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-
-  private:
-    CommandObserver *next_;
-};
-
 } // namespace
+
+void
+CommandHasher::onCommand(const CmdEvent &ev)
+{
+    mix64(hash, ev.channel);
+    mix64(hash, static_cast<std::uint64_t>(ev.cmd));
+    mix64(hash, ev.rank);
+    mix64(hash, ev.bank);
+    mix64(hash, ev.row);
+    mix64(hash, ev.cycle);
+    mix64(hash, static_cast<std::uint64_t>(ev.tid));
+    if (next_)
+        next_->onCommand(ev);
+}
 
 RunConfig
 runConfigFromTokens(const std::string &tokens)
@@ -83,7 +71,7 @@ runDigest(const RunConfig &rc, const WorkloadMix &mix, const Scheme &scheme,
         sources.push_back(s.get());
 
     System system(params, sources);
-    HashingObserver commands(system.protocolChecker());
+    CommandHasher commands(system.protocolChecker());
     for (unsigned c = 0; c < system.numControllers(); ++c)
         system.controllerAt(c).setCommandObserver(&commands);
     std::vector<double> ipc =

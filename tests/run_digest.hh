@@ -20,11 +20,26 @@
 #include <cstdint>
 #include <string>
 
+#include "check/observer.hh"
 #include "sim/params.hh"
 #include "sim/schemes.hh"
 #include "trace/mix.hh"
 
 namespace dbpsim {
+
+/** Hashes every issued command (FNV-1a), then forwards it to @p next. */
+class CommandHasher : public CommandObserver
+{
+  public:
+    explicit CommandHasher(CommandObserver *next) : next_(next) {}
+
+    void onCommand(const CmdEvent &ev) override;
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  private:
+    CommandObserver *next_;
+};
 
 /** makeRunConfig() over whitespace-separated key=value @p tokens. */
 RunConfig runConfigFromTokens(const std::string &tokens);
