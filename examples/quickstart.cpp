@@ -36,7 +36,8 @@ main(int argc, char **argv)
         rc.base.numCores);
 
     std::cout << "dbpsim quickstart\n"
-              << "  machine : " << rc.base.summary() << "\n"
+              << "  machine : " << rc.base.numCores << " cores, "
+              << rc.base.summary() << "\n"
               << "  mix     : ";
     for (const auto &a : mix.apps)
         std::cout << a << ' ';

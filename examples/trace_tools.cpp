@@ -29,6 +29,7 @@ namespace {
 void
 cmdGenerate(const Config &config)
 {
+    config.requireKnownKeys({"app", "count", "out", "seed"});
     std::string app = config.getString("app", "mcf");
     std::string out = config.getString("out", app + ".trace");
     auto count =
@@ -43,6 +44,7 @@ cmdGenerate(const Config &config)
 void
 cmdStat(const Config &config)
 {
+    config.requireKnownKeys({"in"});
     std::string in = config.getString("in", "");
     if (in.empty())
         fatal("stat needs in=<trace file>");

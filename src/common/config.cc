@@ -4,10 +4,33 @@
 #include <cctype>
 #include <cstdlib>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/log.hh"
 
 namespace dbpsim {
+
+namespace {
+
+/** Levenshtein distance, for the unknown-key hint. */
+std::size_t
+editDistance(const std::string &a, const std::string &b)
+{
+    std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        prev[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        cur[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j)
+            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1,
+                               prev[j - 1] + (a[i - 1] != b[j - 1])});
+        std::swap(prev, cur);
+    }
+    return prev[b.size()];
+}
+
+} // namespace
 
 std::int64_t
 parseIntString(const std::string &text, const std::string &what)
@@ -132,6 +155,24 @@ Config::keys() const
     for (const auto &kv : values_)
         out.push_back(kv.first);
     return out;
+}
+
+void
+Config::requireKnownKeys(const std::vector<std::string> &known) const
+{
+    DBP_ASSERT(!known.empty(), "a command declares at least one key");
+    for (const auto &kv : values_) {
+        const std::string &key = kv.first;
+        if (std::find(known.begin(), known.end(), key) != known.end())
+            continue;
+        auto nearest = std::min_element(
+            known.begin(), known.end(),
+            [&key](const std::string &a, const std::string &b) {
+                return editDistance(key, a) < editDistance(key, b);
+            });
+        fatal("unknown config key '", key, "' (did you mean '", *nearest,
+              "'? README.md lists every key)");
+    }
 }
 
 } // namespace dbpsim

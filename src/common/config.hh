@@ -60,6 +60,13 @@ class Config
     /** All keys in insertion-independent (sorted) order. */
     std::vector<std::string> keys() const;
 
+    /**
+     * fatal() on the first key that is not in @p known, naming the
+     * nearest known key: a misspelled key is a user error, never
+     * silently ignored.
+     */
+    void requireKnownKeys(const std::vector<std::string> &known) const;
+
   private:
     std::map<std::string, std::string> values_;
 };

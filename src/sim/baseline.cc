@@ -88,18 +88,24 @@ aloneIpcWithBanks(const RunConfig &rc, const std::string &app,
     auto source = makeSpecSource(app, rc.seedBase * 31 + 7);
     std::vector<TraceSource *> raw{source.get()};
     System sys(params, raw);
-
-    const std::vector<unsigned> order =
-        ColorLayout(params.geometry.channels,
-                    params.geometry.ranksPerChannel,
-                    params.geometry.banksPerRank)
-            .spread();
-    DBP_ASSERT(banks >= 1 && banks <= order.size(),
-               "bank count out of range");
-    std::vector<unsigned> colors(order.begin(), order.begin() + banks);
-    sys.osMemory().setColorSet(0, colors);
-
+    sys.osMemory().setColorSet(0, bankSweepColors(params, banks));
     return sys.runAndMeasure(rc.warmupCpu, rc.measureCpu).at(0);
+}
+
+std::vector<unsigned>
+bankSweepColors(const SystemParams &params, unsigned banks)
+{
+    // Under subarray coloring each bank owns `subarrays` consecutive
+    // colors of the spread order.
+    const unsigned subarrays =
+        params.subarrayColoring ? params.geometry.subarraysPerBank : 1;
+    const ColorLayout layout(params.geometry.channels,
+                             params.geometry.ranksPerChannel,
+                             params.geometry.banksPerRank, subarrays);
+    DBP_ASSERT(banks >= 1 && banks <= layout.banks(),
+               "bank count out of range");
+    const std::vector<unsigned> &order = layout.spread();
+    return {order.begin(), order.begin() + banks * subarrays};
 }
 
 namespace {

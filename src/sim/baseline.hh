@@ -31,6 +31,7 @@
 namespace dbpsim {
 
 struct RunConfig;
+struct SystemParams;
 
 /** What one alone run produces: the IPC denominator and the profile. */
 struct AloneBaseline
@@ -70,12 +71,19 @@ void requireMeasuredIpc(const RunConfig &rc, const std::string &job,
                         const std::vector<double> &ipc);
 
 /**
- * Alone IPC of @p app with its footprint confined to the first @p
- * banks colors of the channel-spread order — the fig2/fig3
- * bank-sensitivity probe. Pure function; thread-safe.
+ * Alone IPC of @p app with its footprint confined to
+ * bankSweepColors(@p banks) — the fig2/fig3 bank-sensitivity probe.
+ * Pure function; thread-safe.
  */
 double aloneIpcWithBanks(const RunConfig &rc, const std::string &app,
                          unsigned banks);
+
+/**
+ * The colors of the first @p banks whole banks of the channel-spread
+ * order: every subarray color of each bank under subarray coloring.
+ */
+std::vector<unsigned> bankSweepColors(const SystemParams &params,
+                                      unsigned banks);
 
 /**
  * Thread-safe memoization of alone runs, keyed by

@@ -26,10 +26,9 @@ std::string
 SystemParams::summary() const
 {
     std::ostringstream os;
-    os << numCores << " cores, " << geometry.channels << "ch x "
-       << geometry.ranksPerChannel << "rk x " << geometry.banksPerRank
-       << "bk (" << geometry.totalBanks() << " banks), " << timingName
-       << ", sched=" << scheduler << ", part=" << partition
+    os << geometry.channels << "ch x " << geometry.ranksPerChannel
+       << "rk x " << geometry.banksPerRank << "bk ("
+       << geometry.totalBanks() << " banks), " << timingName
        << ", refresh=" << refreshModeName(controller.refresh.mode);
     if (controller.refresh.aware)
         os << "+aware";
@@ -153,23 +152,6 @@ refreshRow()
             }};
 }
 
-/** Levenshtein distance, for the unknown-key hint. */
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        prev[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        cur[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j)
-            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1,
-                               prev[j - 1] + (a[i - 1] != b[j - 1])});
-        std::swap(prev, cur);
-    }
-    return prev[b.size()];
-}
-
 std::string
 signature(const RunConfig &rc, bool with_policy)
 {
@@ -250,17 +232,7 @@ makeRunConfig(const Config &cfg, const std::vector<std::string> &driver_keys)
     std::vector<std::string> known = driver_keys;
     for (const ParamRow &r : table)
         known.emplace_back(r.key);
-    for (const std::string &key : cfg.keys()) {
-        if (std::find(known.begin(), known.end(), key) != known.end())
-            continue;
-        auto nearest = std::min_element(
-            known.begin(), known.end(),
-            [&key](const std::string &a, const std::string &b) {
-                return editDistance(key, a) < editDistance(key, b);
-            });
-        fatal("unknown config key '", key, "' (did you mean '", *nearest,
-              "'? README.md lists every key)");
-    }
+    cfg.requireKnownKeys(known);
 
     RunConfig rc;
     for (const ParamRow &r : table)

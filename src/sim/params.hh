@@ -145,7 +145,9 @@ struct SystemParams
         return t;
     }
 
-    /** One-line summary for logs. */
+    /** One-line summary of the machine every job shares, for logs:
+     *  geometry, timing, refresh and SALP, not the core count,
+     *  scheduler or partition policy that each job sets. */
     std::string summary() const;
 };
 

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "dram/addr_map.hh"
+#include "sim/baseline.hh"
 #include "sim/experiment.hh"
 
 namespace dbpsim {
@@ -43,6 +49,44 @@ TEST(Schemes, ApplyOverridesOnlySchedAndPart)
     EXPECT_EQ(out.scheduler, "tcm");
     EXPECT_EQ(out.partition, "dbp");
     EXPECT_EQ(out.numCores, 5u);
+}
+
+// fig2/fig3's "k banks" are k whole banks spread over the channels,
+// with every subarray color of each under subarray coloring.
+TEST(Experiment, BankSweepTakesWholeBanksAcrossChannels)
+{
+    for (bool colored : {false, true}) {
+        SystemParams params;
+        params.subarrayColoring = colored;
+        const unsigned subarrays =
+            colored ? params.geometry.subarraysPerBank : 1;
+        const AddressMap map(params.geometry, colored);
+        const unsigned channels = params.geometry.channels;
+        for (unsigned k = 1; k <= params.geometry.totalBanks(); ++k) {
+            SCOPED_TRACE("colored " + std::to_string(colored) + ", " +
+                         std::to_string(k) + " banks");
+            const std::vector<unsigned> colors =
+                bankSweepColors(params, k);
+            ASSERT_EQ(colors.size(), std::size_t{k} * subarrays);
+            std::map<unsigned, unsigned> per_bank;
+            std::vector<unsigned> per_channel(channels, 0);
+            for (unsigned color : colors) {
+                const auto loc = map.colorLocation(color);
+                const unsigned bank =
+                    (loc.channel * params.geometry.ranksPerChannel +
+                     loc.rank) * params.geometry.banksPerRank + loc.bank;
+                if (per_bank[bank]++ == 0)
+                    ++per_channel[loc.channel];
+            }
+            EXPECT_EQ(per_bank.size(), k);
+            for (const auto &[bank, count] : per_bank)
+                EXPECT_EQ(count, subarrays) << "bank " << bank;
+            for (unsigned ch = 0; ch < channels; ++ch)
+                EXPECT_EQ(per_channel[ch],
+                          k / channels + (ch < k % channels ? 1 : 0))
+                    << "channel " << ch;
+        }
+    }
 }
 
 TEST(Experiment, AloneIpcCachedAndPositive)
