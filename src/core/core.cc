@@ -184,26 +184,6 @@ TraceCore::retire()
 }
 
 void
-TraceCore::skipTicks(Cycle n)
-{
-    if (bubbleRun_ > 0) {
-        DBP_ASSERT(n <= bubbleRun_, n << " ticks skipped in a bubble run "
-                   "of " << bubbleRun_);
-        const std::uint64_t instrs = n * params_.issueWidth;
-        bubbleRun_ -= n;
-        window_.front().count -= instrs;
-        windowInstrs_ -= instrs;
-        retired_ += instrs;
-    } else if (asleep_) {
-        statHeadStalls.inc(n);
-        if (asleepOnMshrs_)
-            statMshrStalls.inc(n);
-    } else {
-        DBP_ASSERT(n == 0, n << " ticks skipped on a core that is due");
-    }
-}
-
-void
 TraceCore::tick()
 {
     if (bubbleRun_ > 0 || asleep_) {

@@ -19,6 +19,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
@@ -103,8 +104,27 @@ class TraceCore : public MemClient
         return asleep_ ? kNeverCycle : 0;
     }
 
-    /** Apply @p n quiet ticks at once; @p n <= quietTicks(). */
-    void skipTicks(Cycle n);
+    /** Apply @p n quiet ticks at once; @p n <= quietTicks(). Inline,
+     *  since tick() applies every quiet tick through it. */
+    void
+    skipTicks(Cycle n)
+    {
+        if (bubbleRun_ > 0) {
+            DBP_ASSERT(n <= bubbleRun_, n << " ticks skipped in a bubble "
+                       "run of " << bubbleRun_);
+            const std::uint64_t instrs = n * params_.issueWidth;
+            bubbleRun_ -= n;
+            window_.front().count -= instrs;
+            windowInstrs_ -= instrs;
+            retired_ += instrs;
+        } else if (asleep_) {
+            statHeadStalls.inc(n);
+            if (asleepOnMshrs_)
+                statMshrStalls.inc(n);
+        } else {
+            DBP_ASSERT(n == 0, n << " ticks skipped on a core that is due");
+        }
+    }
 
     /** MemClient: a load line returned. @p tag is the MSHR index. */
     void readComplete(std::uint64_t tag) override;
