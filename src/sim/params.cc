@@ -1,6 +1,5 @@
 #include "sim/params.hh"
 
-#include <algorithm>
 #include <iomanip>
 #include <limits>
 #include <sstream>
