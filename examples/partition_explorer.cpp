@@ -152,7 +152,10 @@ main(int argc, char **argv)
     unsigned intervals =
         static_cast<unsigned>(config.getUInt("intervals", 12));
 
-    std::cout << "mix " << mix.name << " on " << rc.base.summary()
+    std::cout << "mix " << mix.name << " on " << rc.base.numCores
+              << " cores, " << rc.base.summary()
+              << "\nscheduler: " << rc.base.scheduler
+              << ", partition: " << rc.base.partition
               << "\nprofiling interval: " << rc.base.profileIntervalCpu
               << " CPU cycles\n";
 
