@@ -22,23 +22,20 @@
 #include "common/config.hh"
 #include "common/table.hh"
 #include "sim/campaign.hh"
-#include "sim/system.hh"
-#include "trace/mix.hh"
 
 using namespace dbpsim;
 
 namespace {
 
-/** Step one System over @p intervals profiling intervals. */
+/** Step @p mix's machine under @p scheme over @p intervals profiling
+ *  intervals. */
 Json
-explore(const SystemParams &params, const WorkloadMix &mix,
-        std::uint64_t seed, unsigned intervals)
+explore(const RunConfig &rc, const WorkloadMix &mix, const Scheme &scheme,
+        unsigned intervals)
 {
-    auto owned = buildMixSources(mix, seed);
-    std::vector<TraceSource *> sources;
-    for (auto &s : owned)
-        sources.push_back(s.get());
-    System system(params, sources);
+    JobMachine machine = buildMixMachine(rc, mix, scheme);
+    System &system = *machine.system;
+    const SystemParams &params = system.params();
 
     Json trace = Json::array();
     std::uint64_t migrated_before = 0;
@@ -145,30 +142,27 @@ main(int argc, char **argv)
         config, {"mix", "part", "sched", "intervals", "out"});
 
     const WorkloadMix &mix = mixByName(config.getString("mix", "W04"));
-    rc.base.numCores = static_cast<unsigned>(mix.apps.size());
-    // Watch DBP unless part= says otherwise.
-    rc.base.partition = config.getString("part", "dbp");
-    rc.base.scheduler = config.getString("sched", rc.base.scheduler);
+    // Watch DBP unless part= says otherwise. The scheme's name seeds
+    // the traces.
+    const Scheme scheme{"explore", config.getString("sched", "fr-fcfs"),
+                        config.getString("part", "dbp")};
     unsigned intervals =
         static_cast<unsigned>(config.getUInt("intervals", 12));
 
-    std::cout << "mix " << mix.name << " on " << rc.base.numCores
+    std::cout << "mix " << mix.name << " on " << mix.apps.size()
               << " cores, " << rc.base.summary()
-              << "\nscheduler: " << rc.base.scheduler
-              << ", partition: " << rc.base.partition
+              << "\nscheduler: " << scheme.scheduler
+              << ", partition: " << scheme.partition
               << "\nprofiling interval: " << rc.base.profileIntervalCpu
               << " CPU cycles\n";
 
     CampaignSpec spec;
     spec.name = "partition_explorer";
     spec.title = "DBP decisions on " + mix.name;
-    spec.plan = [&mix, intervals](CampaignPlan &plan,
-                                  CampaignContext &) {
-        plan.add("trace", [mix, intervals](CampaignContext &ctx) {
-            const RunConfig &cfg = ctx.config();
-            return explore(cfg.base, mix,
-                           jobSeed(cfg.seedBase, mix.name, "explore"),
-                           intervals);
+    spec.plan = [&mix, &scheme, intervals](CampaignPlan &plan,
+                                           CampaignContext &) {
+        plan.add("trace", [mix, scheme, intervals](CampaignContext &ctx) {
+            return explore(ctx.config(), mix, scheme, intervals);
         });
     };
     spec.render = [&mix](CampaignRun &run, std::ostream &os) {

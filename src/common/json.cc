@@ -24,6 +24,15 @@ Json::array()
     return j;
 }
 
+Json
+Json::array(const std::vector<double> &values)
+{
+    Json j = array();
+    for (double v : values)
+        j.push(v);
+    return j;
+}
+
 Json &
 Json::set(const std::string &key, Json value)
 {

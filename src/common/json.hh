@@ -50,6 +50,9 @@ class Json
     static Json object();
     static Json array();
 
+    /** An array of @p values, in order. */
+    static Json array(const std::vector<double> &values);
+
     bool isNull() const { return type_ == Type::Null; }
 
     // ---- object interface -------------------------------------------

@@ -6,8 +6,6 @@
 #include "common/log.hh"
 #include "part/policy.hh"
 #include "sim/experiment.hh"
-#include "sim/system.hh"
-#include "trace/spec_profiles.hh"
 
 namespace dbpsim {
 
@@ -38,19 +36,8 @@ jobSeed(std::uint64_t seed_base, const std::string &mix,
 AloneBaseline
 runAloneBaseline(const RunConfig &rc, const std::string &app)
 {
-    SystemParams params = rc.base;
-    params.numCores = 1;
-    params.scheduler = "fr-fcfs";
-    params.partition = "none";
-    // One profiling interval covering exactly the full run, closed
-    // explicitly at the end, so the alone profile summarizes the whole
-    // execution.
-    params.profileIntervalCpu = rc.warmupCpu + rc.measureCpu +
-        1'000'000'000ULL;
-
-    auto source = makeSpecSource(app, rc.seedBase * 31 + 7);
-    std::vector<TraceSource *> sources{source.get()};
-    System system(params, sources);
+    JobMachine machine = buildAloneMachine(rc, app);
+    System &system = *machine.system;
     std::vector<double> ipc = system.runAndMeasure(rc.warmupCpu,
                                                    rc.measureCpu);
     requireMeasuredIpc(rc, "alone " + app, {app}, ipc);
@@ -80,16 +67,11 @@ double
 aloneIpcWithBanks(const RunConfig &rc, const std::string &app,
                   unsigned banks)
 {
-    SystemParams params = rc.base;
-    params.numCores = 1;
-    params.scheduler = "fr-fcfs";
-    params.partition = "none";
-
-    auto source = makeSpecSource(app, rc.seedBase * 31 + 7);
-    std::vector<TraceSource *> raw{source.get()};
-    System sys(params, raw);
-    sys.osMemory().setColorSet(0, bankSweepColors(params, banks));
-    return sys.runAndMeasure(rc.warmupCpu, rc.measureCpu).at(0);
+    JobMachine machine = buildAloneMachine(rc, app);
+    System &system = *machine.system;
+    system.osMemory().setColorSet(0,
+                                  bankSweepColors(system.params(), banks));
+    return system.runAndMeasure(rc.warmupCpu, rc.measureCpu).at(0);
 }
 
 std::vector<unsigned>

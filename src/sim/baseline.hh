@@ -55,8 +55,8 @@ std::uint64_t jobSeed(std::uint64_t seed_base, const std::string &mix,
                       const std::string &scheme);
 
 /**
- * Run @p app alone on the configured hardware (single core, FR-FCFS,
- * unpartitioned) — a pure function of its arguments; thread-safe.
+ * Run @p app on its alone machine (buildAloneMachine()) — a pure
+ * function of its arguments; thread-safe.
  */
 AloneBaseline runAloneBaseline(const RunConfig &rc,
                                const std::string &app);
@@ -71,9 +71,9 @@ void requireMeasuredIpc(const RunConfig &rc, const std::string &job,
                         const std::vector<double> &ipc);
 
 /**
- * Alone IPC of @p app with its footprint confined to
- * bankSweepColors(@p banks) — the fig2/fig3 bank-sensitivity probe.
- * Pure function; thread-safe.
+ * Alone IPC of @p app on its alone machine with its footprint
+ * confined to bankSweepColors(@p banks) — the fig2/fig3
+ * bank-sensitivity probe. Pure function; thread-safe.
  */
 double aloneIpcWithBanks(const RunConfig &rc, const std::string &app,
                          unsigned banks);

@@ -6,8 +6,7 @@
 #include <sstream>
 #include <vector>
 
-#include "sim/baseline.hh"
-#include "sim/system.hh"
+#include "sim/experiment.hh"
 
 namespace dbpsim {
 
@@ -61,16 +60,10 @@ std::uint64_t
 runDigest(const RunConfig &rc, const WorkloadMix &mix, const Scheme &scheme,
           bool full_ticks)
 {
-    SystemParams params = applyScheme(rc.base, scheme);
-    params.numCores = static_cast<unsigned>(mix.apps.size());
-    params.fullTicks = full_ticks;
-    auto owned = buildMixSources(
-        mix, jobSeed(rc.seedBase, mix.name, scheme.name));
-    std::vector<TraceSource *> sources;
-    for (auto &s : owned)
-        sources.push_back(s.get());
-
-    System system(params, sources);
+    RunConfig job = rc;
+    job.base.fullTicks = full_ticks;
+    JobMachine machine = buildMixMachine(job, mix, scheme);
+    System &system = *machine.system;
     CommandHasher commands(system.protocolChecker());
     for (unsigned c = 0; c < system.numControllers(); ++c)
         system.controllerAt(c).setCommandObserver(&commands);

@@ -45,8 +45,8 @@ class CommandHasher : public CommandObserver
 RunConfig runConfigFromTokens(const std::string &tokens);
 
 /**
- * Digest of the job (@p mix, @p scheme) under @p rc, its System built
- * as runMixJob() builds it, with every skip switched off when
+ * Digest of the job (@p mix, @p scheme) under @p rc, on the machine
+ * buildMixMachine() builds, with every skip switched off when
  * @p full_ticks is set. A run with the checker on must finish with no
  * violation (a gtest failure otherwise).
  */

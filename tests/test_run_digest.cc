@@ -6,13 +6,13 @@
  * see IPCs and the metrics derived from them; these also see every
  * counter, the closed profiles and every DRAM command with its cycle.
  *
- * Each case builds its System as runMixJob() does at
- * warmup=20000 measure=40000 interval=10000 seed=42 with an explicit
- * check= so a DBPSIM_CHECK build pins the same value. The
- * configurations between them reach every scheduler family, page
- * policy, refresh mode, SALP mode, migration mode, every dynamic
- * partitioning policy (DBP, MCP and the composed DBP-MCP) and a
- * starved core (4 MSHRs, 4 store-buffer entries, short queues).
+ * Each case builds its System through buildMixMachine(), as
+ * runMixJob() does, at warmup=20000 measure=40000 interval=10000
+ * seed=42 with an explicit check= so a DBPSIM_CHECK build pins the
+ * same value. The configurations between them reach every scheduler
+ * family, page policy, refresh mode, SALP mode, migration mode, every
+ * dynamic partitioning policy (DBP, MCP and the composed DBP-MCP) and
+ * a starved core (4 MSHRs, 4 store-buffer entries, short queues).
  */
 
 #include <gtest/gtest.h>
