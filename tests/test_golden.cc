@@ -62,10 +62,10 @@ pins()
         {"fig13", 0x79d0e0cf080bc716ULL},
         {"fig14", 0x931dc9c6221a6569ULL},
         {"fig15", 0x6a224158c7aea974ULL},
-        {"fig16", 0x9576ad98f902ac97ULL},
+        {"fig16", 0xb51210a5283e3c60ULL},
         {"fig17", 0xd7cd4a980fcad3dbULL},
         {"fig18", 0x5a0e3cac352a65e8ULL},
-        {"fig19", 0x6989e38033745372ULL},
+        {"fig19", 0x827103e725ae3bc4ULL},
         {"fig20", 0x1f64496bf408e013ULL},
         {"fig21", 0x8598c0dcb00d279fULL},
         {"tab1", 0x5d52c65b1031a925ULL},
