@@ -319,6 +319,41 @@ TEST(Dbp, AssignmentsAreDisjointAndComplete)
     EXPECT_EQ(seen.size(), kColors);
 }
 
+// Eight threads over four banks: the equal split wraps around, so two
+// threads start on each bank. The first hand-off that leaves light and
+// heavy threads must still hand every color out exactly once.
+TEST(Dbp, HandOffAfterWrappedSplitHandsOutEveryColorOnce)
+{
+    constexpr unsigned kThreads = 8, kFewBanks = 4;
+    DbpPolicy dbp(kThreads, 1, 1, kFewBanks, fastDbp());
+    dbp.initialAssignment();
+    std::vector<ThreadMemProfile> profiles(kThreads,
+                                           profile(0.1, 0.5, 1.0));
+    const std::set<unsigned> heavy = {0, 3, 6};
+    for (unsigned t : heavy)
+        profiles[t] = profile(20, 0.3, 4.0);
+    auto next = dbp.onInterval(profiles);
+    ASSERT_TRUE(next.has_value());
+
+    std::set<unsigned> seen;
+    for (unsigned t : heavy) {
+        EXPECT_FALSE((*next)[t].empty()) << "heavy thread " << t;
+        for (unsigned c : (*next)[t])
+            EXPECT_TRUE(seen.insert(c).second)
+                << "color " << c << " handed out twice";
+    }
+    const std::vector<unsigned> &light = (*next)[1];
+    for (unsigned t = 0; t < kThreads; ++t) {
+        if (!heavy.count(t)) {
+            EXPECT_EQ((*next)[t], light) << "light thread " << t;
+        }
+    }
+    for (unsigned c : light)
+        EXPECT_TRUE(seen.insert(c).second)
+            << "color " << c << " handed out twice";
+    EXPECT_EQ(seen.size(), kFewBanks);
+}
+
 TEST(Dbp, HeavyThreadColorsSpanChannels)
 {
     DbpPolicy dbp(4, kChan, kRanks, kBanks, fastDbp());
