@@ -8,17 +8,17 @@
  *   trace_tools gen app=mcf count=100000 out=mcf.trace
  *   trace_tools stat in=mcf.trace
  *   trace_tools replay in=mcf.trace corunners=lbm,gcc [sched=tcm]
- *       [part=dbp]
+ *       [part=dbp] [seed=42]
  */
 
 #include <iostream>
 #include <set>
-#include <sstream>
 
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/table.hh"
 #include "sim/system.hh"
+#include "trace/mix.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/trace_file.hh"
 
@@ -88,24 +88,21 @@ cmdReplay(const Config &config)
     if (in.empty())
         fatal("replay needs in=<trace file>");
 
-    TraceFileSource file = TraceFileSource::fromFile(in);
-    std::vector<std::unique_ptr<TraceSource>> others;
-    std::vector<TraceSource *> sources{&file};
-    std::istringstream cs(config.getString("corunners", ""));
-    std::string app;
-    while (std::getline(cs, app, ',')) {
-        if (app.empty())
-            continue;
-        others.push_back(makeSpecSource(app, 7 + others.size()));
-        sources.push_back(others.back().get());
-    }
-
     RunConfig rc =
         makeRunConfig(config, {"in", "corunners", "sched", "part"});
     SystemParams &params = rc.base;
-    params.numCores = static_cast<unsigned>(sources.size());
     params.scheduler = config.getString("sched", params.scheduler);
     params.partition = config.getString("part", params.partition);
+
+    // The co-runners are seeded from seed=, as a mix's traces are.
+    TraceFileSource file = TraceFileSource::fromFile(in);
+    const auto others = buildMixSources(
+        WorkloadMix{"corunners", config.getList("corunners")},
+        rc.seedBase);
+    std::vector<TraceSource *> sources{&file};
+    for (const auto &s : others)
+        sources.push_back(s.get());
+    params.numCores = static_cast<unsigned>(sources.size());
 
     System system(params, sources);
     auto ipc = system.runAndMeasure(rc.warmupCpu, rc.measureCpu);

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -84,6 +85,17 @@ Config::getString(const std::string &key, const std::string &def) const
 {
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
+}
+
+std::vector<std::string>
+Config::getList(const std::string &key) const
+{
+    std::vector<std::string> out;
+    std::istringstream is(getString(key));
+    for (std::string item; std::getline(is, item, ',');)
+        if (!item.empty())
+            out.push_back(item);
+    return out;
 }
 
 std::uint64_t

@@ -36,6 +36,10 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
+    /** Comma-separated list ("mcf,lbm"), empty items dropped; {} if
+     *  absent. */
+    std::vector<std::string> getList(const std::string &key) const;
+
     /** Unsigned 64-bit value (decimal, hex with 0x, or k/m/g suffix). */
     std::uint64_t getUInt(const std::string &key, std::uint64_t def) const;
 
