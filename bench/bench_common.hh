@@ -38,6 +38,12 @@ sensitivityMixes()
             mixByName("W10")};
 }
 
+/** The keys `dbpsim_bench sweep` reads (see sweep.cpp). */
+const std::vector<std::string> &sweepKeys();
+
+/** The ad-hoc sweep campaign that @p cfg's sweep keys describe. */
+CampaignSpec sweepCampaign(const Config &cfg);
+
 /** Percent improvement of scheme b over scheme a for a metric where
  *  higher is better. */
 inline double
