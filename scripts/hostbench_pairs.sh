@@ -21,23 +21,24 @@
 # magnitude), else within. A line per workload names the metrics
 # outside their bound. Every pair's host-time values are printed too.
 #
-# After the pairs, each workload gets one traced run per side
+# After the pairs, each workload gets four traced rotations
 # (--seconds 0 --trace 1) on seed S0 + workloads * N, which no pair
-# used, with both sides running at the same time: per-layer host times
-# from traced runs taken minutes apart are not comparable on a shared
-# host. Every per-layer metric is printed with both values and the
-# change/parent ratio.
+# used. A rotation runs one traced run per side, one run at a time,
+# alternating which side goes first: two runs at once on a shared host
+# move per-layer host times by 10-30 %, and so would runs taken
+# minutes apart without the alternation. Every per-layer metric is
+# printed with each side's median over the rotations and the
+# change/parent ratio of the medians.
 #
 # Exits non-zero when a run fails or reports "correct": false or
 # failed > 0, when the two runs of a pair print different digests or
-# different ws_*/ms_* ratios, and when the two traced runs print
-# different digests or differ in a simulated count: any per-layer
-# metric whose unit is not ns/cycle, s or %, except
+# different ws_*/ms_* ratios, and when any two traced runs of a
+# workload print different digests or differ in a simulated count: any
+# per-layer metric whose unit is not ns/cycle, s or %, except
 # sim.executor_busy_frac. The worktrees are removed at exit. On
-# SIGINT, SIGTERM or SIGHUP the build or run in progress (both traced
-# runs share one process group) is stopped with all its processes
-# before the worktrees go, and the script exits with 128 + the signal
-# number.
+# SIGINT, SIGTERM or SIGHUP the build or run in progress is stopped
+# with all its processes before the worktrees go, and the script exits
+# with 128 + the signal number.
 #
 # Usage: scripts/hostbench_pairs.sh <parent-ref> <workload>...
 #            [--pairs N] [--seconds S] [--seed S0]
@@ -132,13 +133,16 @@ git worktree add --detach "$tmp/change" "$change_sha" >/dev/null 2>&1
 mkdir "$tmp/out"
 echo "parent $parent_sha, change $change_sha" >&2
 
-# One run: side, workload, seed, output stem. Fails on a build or run
-# error; run.py builds its tree on first use.
+# One run: side, workload, seed, output stem and, when the fifth
+# argument is 1, a traced run instead of a timed one. Fails on a build
+# or run error; run.py builds its tree on first use.
 run() {
-    local side="$1" workload="$2" seed="$3" stem="$4"
+    local side="$1" workload="$2" seed="$3" stem="$4" trace="${5:-0}"
+    local secs="$seconds"
+    [ "$trace" = 1 ] && secs=0
     if ! supervise python3 "$tmp/$side/hostbench/run.py" \
-            --workload "$workload" --seed "$seed" --seconds "$seconds" \
-            --trace 0 >"$stem.$side.out" 2>"$stem.$side.err"; then
+            --workload "$workload" --seed "$seed" --seconds "$secs" \
+            --trace "$trace" >"$stem.$side.out" 2>"$stem.$side.err"; then
         echo "hostbench_pairs: $side run failed ($workload seed $seed):" >&2
         tail -n 20 "$stem.$side.err" >&2
         exit 1
@@ -172,28 +176,21 @@ for workload in "${workloads[@]}"; do
 done
 
 traced_seed=$((seed0 + ${#workloads[@]} * pairs))
+rotations=4
 for workload in "${workloads[@]}"; do
-    stem="$tmp/out/$workload.traced"
-    echo "$workload traced, both sides at once, seed $traced_seed" >&2
-    if ! supervise bash -c '
-            for side in parent change; do
-                python3 "$1/$side/hostbench/run.py" --workload "$2" \
-                    --seed "$3" --seconds 0 --trace 1 \
-                    >"$4.$side.out" 2>"$4.$side.err" &
-            done
-            status=0
-            wait -n || status=1
-            wait -n || status=1
-            exit "$status"' _ "$tmp" "$workload" "$traced_seed" "$stem"
-    then
-        echo "hostbench_pairs: traced run failed ($workload seed" \
-            "$traced_seed):" >&2
-        tail -n 20 "$stem.parent.err" "$stem.change.err" >&2
-        exit 1
-    fi
+    for ((r = 0; r < rotations; r++)); do
+        if ((r % 2 == 0)); then order="parent change"
+        else order="change parent"; fi
+        echo "$workload traced rotation $((r + 1))/$rotations seed" \
+            "$traced_seed ($order)" >&2
+        for side in $order; do
+            run "$side" "$workload" "$traced_seed" \
+                "$tmp/out/$workload.traced.$r" 1
+        done
+    done
 done
 
-python3 - "$tmp/out" "$pairs" "$seconds" "$traced_seed" \
+python3 - "$tmp/out" "$pairs" "$seconds" "$traced_seed" "$rotations" \
     "${workloads[@]}" <<'EOF'
 import json
 import math
@@ -201,8 +198,8 @@ import statistics
 import sys
 
 out, pairs, seconds = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-traced_seed = sys.argv[4]
-workloads = sys.argv[5:]
+traced_seed, rotations = sys.argv[4], int(sys.argv[5])
+workloads = sys.argv[6:]
 with open("BENCHMARK.json") as f:
     metrics = [(m["name"], m["better"], m["bound"])
                for m in json.load(f)["end_to_end"]]
@@ -299,23 +296,46 @@ for workload in workloads:
           % (", ".join(outside) if outside else "none"))
 
     label = "%s traced seed %s" % (workload, traced_seed)
-    pd, pdig, pv = load("%s/%s.traced" % (out, workload), "parent")
-    cd, cdig, cv = load("%s/%s.traced" % (out, workload), "change")
-    check_runs(label, pd, pdig, cd, cdig)
-    units = {k: v["unit"] for doc in (cd, pd)
+    traced = {side: [load("%s/%s.traced.%d" % (out, workload, r), side)
+                     for r in range(rotations)]
+              for side in ("parent", "change")}
+    first_doc, first_dig, first_v = traced["parent"][0]
+    units = {k: v["unit"] for side in traced for doc, _, _ in traced[side]
              for k, v in doc["metrics"].items()}
-    print("  traced, seed %s, both sides at once:" % traced_seed)
+    names = list(first_v)
+    for side in traced:
+        for doc, dig, vals in traced[side]:
+            names += [n for n in vals if n not in names]
+    for r in range(rotations):
+        for side in traced:
+            doc, dig, vals = traced[side][r]
+            check_runs("%s rotation %d %s" % (label, r + 1, side),
+                       first_doc, first_dig, doc, dig)
+    differs = set()
+    for name in names:
+        if not simulated(name, units[name]):
+            continue
+        seen = {repr(vals.get(name)) for side in traced
+                for _, _, vals in traced[side]}
+        if len(seen) > 1:
+            differs.add(name)
+            errors.append("%s: %s differs between traced runs: %s"
+                          % (label, name, ", ".join(sorted(seen))))
+    print("  traced, seed %s, %d rotations, one run at a time:"
+          % (traced_seed, rotations))
     print("  %-26s %-11s %16s %16s %8s"
-          % ("per-layer metric", "unit", "parent", "change", "ratio"))
-    for name in list(pv) + [n for n in cv if n not in pv]:
-        p, c = pv.get(name), cv.get(name)
+          % ("per-layer metric", "unit", "parent median",
+             "change median", "ratio"))
+    for name in names:
+        med = {}
+        for side in traced:
+            xs = [vals[name] for _, _, vals in traced[side] if name in vals]
+            med[side] = statistics.median(xs) if xs else None
+        p, c = med["parent"], med["change"]
         ratio = "%.4f" % (c / p) if p and c is not None else "-"
-        differs = simulated(name, units[name]) and p != c
-        if differs:
-            errors.append("%s: %s differs: %r vs %r" % (label, name, p, c))
         print("  %-26s %-11s %16s %16s %8s%s"
               % (name, units[name], show(p), show(c), ratio,
-                 "  DIFFERS" if differs else ""))
+                 "  DIFFERS" if name in differs else ""))
     print()
 
 for e in errors:
