@@ -20,13 +20,7 @@ void
 plan(CampaignPlan &p, CampaignContext &)
 {
     const WorkloadMix &mix = mixByName(kMix);
-    for (const char *scheme : {"FR-FCFS", "UBP"}) {
-        Scheme s = schemeByName(scheme);
-        p.add(sweepKey("", mix.name, s.name),
-              [mix, s](CampaignContext &ctx) {
-                  return mixResultToJson(ctx.runMix(mix, s));
-              });
-    }
+    planMixSweep(p, {mix}, {schemeByName("FR-FCFS"), schemeByName("UBP")});
     for (const auto &app : mix.apps) {
         p.add("alone/" + app, [app](CampaignContext &ctx) {
             AloneBaseline b = ctx.baselines().get(ctx.config(), app);

@@ -49,13 +49,6 @@ class CampaignContext
     /** The shared alone-run baseline cache. */
     AloneBaselineCache &baselines() { return *baselines_; }
 
-    /** Run @p mix under @p scheme on the base configuration. */
-    MixResult runMix(const WorkloadMix &mix, const Scheme &scheme);
-
-    /** Run with an explicit (tweaked) configuration. */
-    MixResult runMix(const RunConfig &rc, const WorkloadMix &mix,
-                     const Scheme &scheme);
-
   private:
     RunConfig config_;
     std::shared_ptr<AloneBaselineCache> baselines_;
@@ -193,13 +186,18 @@ Json mixResultToJson(const MixResult &r);
 std::string sweepKey(const std::string &prefix, const std::string &mix,
                      const std::string &scheme);
 
+/** Fields a campaign adds to each job's mixResultToJson(). */
+using MixFields = std::function<void(Json &job, const MixResult &r)>;
+
 /**
- * Declare the standard sweep: one runMix job per (mix, scheme) on the
- * context's base configuration.
+ * Declare the standard sweep: one runMixJob() per (mix, scheme) on the
+ * context's base configuration, written as mixResultToJson() plus
+ * @p fields when given.
  */
 void planMixSweep(CampaignPlan &plan,
                   const std::vector<WorkloadMix> &mixes,
-                  const std::vector<Scheme> &schemes);
+                  const std::vector<Scheme> &schemes,
+                  MixFields fields = nullptr);
 
 /**
  * Same, with an explicit (tweaked) configuration and a key prefix
