@@ -518,7 +518,7 @@ Linter::ruleConfigKeyDoc(const ScannedFile &sf)
             continue;
         const std::string &id = toks[i].text;
         if (id != "getString" && id != "getUInt" &&
-            id != "getDouble" && id != "getBool")
+            id != "getDouble" && id != "getBool" && id != "getList")
             continue;
         if (!(toks[i + 1].kind == TokKind::Punct &&
               toks[i + 1].text == "(" &&
