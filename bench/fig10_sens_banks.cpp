@@ -14,62 +14,27 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-const std::vector<unsigned> &
-banksPerRankSweep()
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    static const std::vector<unsigned> v = {4, 8, 16};
-    return v;
-}
-
-std::vector<Scheme>
-schemes()
-{
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP")};
-}
-
-RunConfig
-configFor(const RunConfig &base, unsigned banks_per_rank)
-{
-    RunConfig cfg = base;
-    cfg.base.geometry.banksPerRank = banks_per_rank;
-    return cfg;
-}
-
-std::string
-prefixFor(const RunConfig &cfg)
-{
-    return std::to_string(cfg.base.geometry.totalBanks()) + "bk/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (unsigned bpr : banksPerRankSweep()) {
-        RunConfig cfg = configFor(ctx.config(), bpr);
-        planMixSweep(p, cfg, prefixFor(cfg), sensitivityMixes(),
-                     schemes());
+    std::vector<MixSweep> out;
+    for (unsigned banks_per_rank : {4u, 8u, 16u}) {
+        RunConfig cfg = base;
+        cfg.base.geometry.banksPerRank = banks_per_rank;
+        const std::string banks =
+            std::to_string(cfg.base.geometry.totalBanks());
+        out.push_back({cfg, sensitivityMixes(),
+                       {schemeByName("FR-FCFS"), schemeByName("UBP"),
+                        schemeByName("DBP")},
+                       banks, banks + "bk/"});
     }
+    return out;
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    TextTable table({"banks", "WS FR-FCFS", "WS UBP", "WS DBP",
-                     "MS FR-FCFS", "MS UBP", "MS DBP"});
-    for (unsigned bpr : banksPerRankSweep()) {
-        RunConfig cfg = configFor(run.config(), bpr);
-        std::string prefix = prefixFor(cfg);
-        table.beginRow();
-        table.cell(cfg.base.geometry.totalBanks());
-        for (const char *field : {"ws", "ms"})
-            for (const auto &s : schemes())
-                table.cell(geomean(sweepColumn(run, prefix,
-                                               sensitivityMixes(),
-                                               s.name, field)),
-                           3);
-    }
-    table.print(os);
+    printWsMsGmeans(run, sweeps(run.config()), "banks", os);
 }
 
 const CampaignRegistrar reg({
@@ -77,7 +42,7 @@ const CampaignRegistrar reg({
     "sensitivity to bank count",
     "Expected shape: DBP's edge over UBP largest at 16 banks, "
     "shrinking at 64.",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

@@ -15,29 +15,19 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-const std::vector<Cycle> &
-intervals()
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    static const std::vector<Cycle> v = {125'000, 250'000, 500'000,
-                                         1'000'000, 2'000'000};
-    return v;
-}
-
-std::string
-prefixFor(Cycle interval)
-{
-    return std::to_string(interval) + "/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (Cycle interval : intervals()) {
-        RunConfig cfg = ctx.config();
+    std::vector<MixSweep> out;
+    for (Cycle interval :
+         {125'000, 250'000, 500'000, 1'000'000, 2'000'000}) {
+        RunConfig cfg = base;
         cfg.base.profileIntervalCpu = interval;
-        planMixSweep(p, cfg, prefixFor(interval), sensitivityMixes(),
-                     {schemeByName("DBP")});
+        const std::string label = std::to_string(interval);
+        out.push_back({cfg, sensitivityMixes(), {schemeByName("DBP")},
+                       label, label + "/"});
     }
+    return out;
 }
 
 void
@@ -45,24 +35,15 @@ render(CampaignRun &run, std::ostream &os)
 {
     TextTable table({"interval (cpu cycles)", "gmean WS", "gmean MS",
                      "repartitions", "pages migrated"});
-    for (Cycle interval : intervals()) {
-        std::string prefix = prefixFor(interval);
-        double reparts = 0, migrated = 0;
-        for (const auto &mix : sensitivityMixes()) {
-            const std::string k = sweepKey(prefix, mix.name, "DBP");
-            reparts += run.num(k, "repartitions");
-            migrated += run.num(k, "pages_migrated");
-        }
+    for (const auto &s : sweeps(run.config())) {
         table.beginRow();
-        table.cell(static_cast<std::uint64_t>(interval));
-        table.cell(geomean(sweepColumn(run, prefix, sensitivityMixes(),
-                                       "DBP", "ws")),
-                   3);
-        table.cell(geomean(sweepColumn(run, prefix, sensitivityMixes(),
-                                       "DBP", "ms")),
-                   3);
-        table.cell(static_cast<std::uint64_t>(reparts));
-        table.cell(static_cast<std::uint64_t>(migrated));
+        table.cell(s.label);
+        table.cell(sweepGmean(run, s, "DBP", "ws"), 3);
+        table.cell(sweepGmean(run, s, "DBP", "ms"), 3);
+        table.cell(static_cast<std::uint64_t>(
+            sweepSum(run, s, "DBP", "repartitions")));
+        table.cell(static_cast<std::uint64_t>(
+            sweepSum(run, s, "DBP", "pages_migrated")));
     }
     table.print(os);
 }
@@ -76,7 +57,7 @@ const CampaignRegistrar reg({
     "interval\n(5.149 at 125 k, 5.095 at 2 M), and pages migrated "
     "rise 350 -> 630 -> 1,027 -> 1,049 from 125 k to\n1 M cycles "
     "(none at 2 M, where no repartition fits).",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

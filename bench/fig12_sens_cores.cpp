@@ -14,59 +14,27 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-const std::vector<unsigned> &
-coreCounts()
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    static const std::vector<unsigned> v = {4, 8, 16};
-    return v;
-}
-
-std::vector<Scheme>
-schemes()
-{
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP")};
-}
-
-std::vector<WorkloadMix>
-mixesFor(unsigned cores)
-{
-    std::vector<WorkloadMix> out;
-    for (const auto &base_mix : sensitivityMixes())
-        out.push_back(scaleMix(base_mix, cores));
+    std::vector<MixSweep> out;
+    for (unsigned cores : {4u, 8u, 16u}) {
+        std::vector<WorkloadMix> mixes;
+        for (const auto &mix : sensitivityMixes())
+            mixes.push_back(scaleMix(mix, cores));
+        const std::string label = std::to_string(cores);
+        out.push_back({base, std::move(mixes),
+                       {schemeByName("FR-FCFS"), schemeByName("UBP"),
+                        schemeByName("DBP")},
+                       label, label + "c/"});
+    }
     return out;
-}
-
-std::string
-prefixFor(unsigned cores)
-{
-    return std::to_string(cores) + "c/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (unsigned cores : coreCounts())
-        planMixSweep(p, ctx.config(), prefixFor(cores), mixesFor(cores),
-                     schemes());
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    TextTable table({"cores", "WS FR-FCFS", "WS UBP", "WS DBP",
-                     "MS FR-FCFS", "MS UBP", "MS DBP"});
-    for (unsigned cores : coreCounts()) {
-        std::vector<WorkloadMix> mixes = mixesFor(cores);
-        table.beginRow();
-        table.cell(cores);
-        for (const char *field : {"ws", "ms"})
-            for (const auto &s : schemes())
-                table.cell(geomean(sweepColumn(run, prefixFor(cores),
-                                               mixes, s.name, field)),
-                           3);
-    }
-    table.print(os);
+    printWsMsGmeans(run, sweeps(run.config()), "cores", os);
 }
 
 const CampaignRegistrar reg({
@@ -77,7 +45,7 @@ const CampaignRegistrar reg({
     "WS edge shrinks from +1.5 % at 4 cores (2.676 vs\n2.636) to "
     "+0.9 % at 8 (5.129 vs 5.085) and turns negative at 16 (7.281 vs "
     "7.403).",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

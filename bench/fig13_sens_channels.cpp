@@ -14,60 +14,29 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-struct Geo
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    unsigned channels, ranks, banks;
-};
-
-const std::vector<Geo> &
-geometries()
-{
-    static const std::vector<Geo> v = {{1, 2, 16}, {2, 2, 8}, {4, 2, 4}};
-    return v;
-}
-
-std::vector<Scheme>
-schemes()
-{
-    return {schemeByName("FR-FCFS"), schemeByName("DBP"),
-            schemeByName("MCP")};
-}
-
-std::string
-prefixFor(const Geo &g)
-{
-    return std::to_string(g.channels) + "ch/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (const Geo &g : geometries()) {
-        RunConfig cfg = ctx.config();
-        cfg.base.geometry.channels = g.channels;
-        cfg.base.geometry.ranksPerChannel = g.ranks;
-        cfg.base.geometry.banksPerRank = g.banks;
-        planMixSweep(p, cfg, prefixFor(g), sensitivityMixes(),
-                     schemes());
+    // 1 x 2 x 16, 2 x 2 x 8 and 4 x 2 x 4: always 32 banks.
+    std::vector<MixSweep> out;
+    for (unsigned channels : {1u, 2u, 4u}) {
+        RunConfig cfg = base;
+        cfg.base.geometry.channels = channels;
+        cfg.base.geometry.ranksPerChannel = 2;
+        cfg.base.geometry.banksPerRank = 16 / channels;
+        const std::string label = std::to_string(channels);
+        out.push_back({cfg, sensitivityMixes(),
+                       {schemeByName("FR-FCFS"), schemeByName("DBP"),
+                        schemeByName("MCP")},
+                       label, label + "ch/"});
     }
+    return out;
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    TextTable table({"channels", "WS FR-FCFS", "WS DBP", "WS MCP",
-                     "MS FR-FCFS", "MS DBP", "MS MCP"});
-    for (const Geo &g : geometries()) {
-        table.beginRow();
-        table.cell(g.channels);
-        for (const char *field : {"ws", "ms"})
-            for (const auto &s : schemes())
-                table.cell(geomean(sweepColumn(run, prefixFor(g),
-                                               sensitivityMixes(),
-                                               s.name, field)),
-                           3);
-    }
-    table.print(os);
+    printWsMsGmeans(run, sweeps(run.config()), "channels", os);
 }
 
 const CampaignRegistrar reg({
@@ -75,7 +44,7 @@ const CampaignRegistrar reg({
     "sensitivity to channel count",
     "Expected shape: DBP helps at every channel count; MCP only "
     "separates threads once there are >= 2 channels.",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

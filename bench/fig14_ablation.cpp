@@ -15,74 +15,29 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-struct Variant
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    std::string name;
-    std::string prefix;
-    void (*tweak)(SystemParams &);
-};
-
-void
-vFull(SystemParams &)
-{
-}
-
-void
-vNoLightGroup(SystemParams &p)
-{
+    std::vector<MixSweep> out;
+    // One DBP sweep per variant; the caller tweaks its parameters.
+    auto variant = [&](const char *label, const char *prefix)
+        -> SystemParams & {
+        out.push_back({base, sensitivityMixes(), {schemeByName("DBP")},
+                       label, prefix});
+        return out.back().config.base;
+    };
+    variant("full DBP", "full/");
     // Nothing is "light": every thread gets a private demand share.
-    p.dbp.lightMpki = 0.0;
-}
-
-void
-vStrongHysteresis(SystemParams &p)
-{
-    p.dbp.hysteresisBanks = 4;
-}
-
-void
-vNoMigration(SystemParams &p)
-{
-    p.partMgr.migration = MigrationMode::None;
-}
-
-void
-vFreeMigration(SystemParams &p)
-{
-    p.partMgr.migration = MigrationMode::EagerFree;
-}
-
-void
-vFlatDemand(SystemParams &p)
-{
+    variant("no light grouping", "nolight/").dbp.lightMpki = 0.0;
+    variant("hysteresis=4", "hyst4/").dbp.hysteresisBanks = 4;
+    variant("no migration", "nomig/").partMgr.migration =
+        MigrationMode::None;
+    variant("free migration", "freemig/").partMgr.migration =
+        MigrationMode::EagerFree;
     // All heavy threads report equal demand — the dynamic machinery
     // with the estimator unplugged.
-    p.dbp.flatDemand = true;
-}
-
-const std::vector<Variant> &
-variants()
-{
-    static const std::vector<Variant> v = {
-        {"full DBP", "full/", vFull},
-        {"no light grouping", "nolight/", vNoLightGroup},
-        {"hysteresis=4", "hyst4/", vStrongHysteresis},
-        {"no migration", "nomig/", vNoMigration},
-        {"free migration", "freemig/", vFreeMigration},
-        {"flat demand", "flat/", vFlatDemand},
-    };
-    return v;
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (const auto &v : variants()) {
-        RunConfig cfg = ctx.config();
-        v.tweak(cfg.base);
-        planMixSweep(p, cfg, v.prefix, sensitivityMixes(),
-                     {schemeByName("DBP")});
-    }
+    variant("flat demand", "flat/").dbp.flatDemand = true;
+    return out;
 }
 
 void
@@ -90,20 +45,13 @@ render(CampaignRun &run, std::ostream &os)
 {
     TextTable table({"variant", "gmean WS", "gmean MS",
                      "pages migrated"});
-    for (const auto &v : variants()) {
-        double migrated = 0;
-        for (const auto &mix : sensitivityMixes())
-            migrated += run.num(sweepKey(v.prefix, mix.name, "DBP"),
-                                "pages_migrated");
+    for (const auto &s : sweeps(run.config())) {
         table.beginRow();
-        table.cell(v.name);
-        table.cell(geomean(sweepColumn(run, v.prefix, sensitivityMixes(),
-                                       "DBP", "ws")),
-                   3);
-        table.cell(geomean(sweepColumn(run, v.prefix, sensitivityMixes(),
-                                       "DBP", "ms")),
-                   3);
-        table.cell(static_cast<std::uint64_t>(migrated));
+        table.cell(s.label);
+        table.cell(sweepGmean(run, s, "DBP", "ws"), 3);
+        table.cell(sweepGmean(run, s, "DBP", "ms"), 3);
+        table.cell(static_cast<std::uint64_t>(
+            sweepSum(run, s, "DBP", "pages_migrated")));
     }
     table.print(os);
 }
@@ -114,7 +62,7 @@ const CampaignRegistrar reg({
     "Expected shape: full DBP at or near the best WS/MS; flat demand "
     "loses the BLP compensation; free\nmigration bounds what the cost "
     "model forfeits.",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

@@ -29,43 +29,34 @@ parts()
     return v;
 }
 
-std::vector<Scheme>
-schemes()
+/** Every scheduler crossed with every partition, scheduler-major. */
+MixSweep
+sweep(const RunConfig &rc)
 {
-    std::vector<Scheme> out;
+    std::vector<Scheme> schemes;
     for (const auto &sched : scheds())
         for (const auto &part : parts())
-            out.push_back(Scheme{sched + "+" + part, sched, part});
-    return out;
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, sensitivityMixes(), schemes());
+            schemes.push_back(Scheme{sched + "+" + part, sched, part});
+    return {rc, sensitivityMixes(), schemes};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
+    const MixSweep s = sweep(run.config());
     TextTable ws_table({"scheduler", "none", "ubp", "dbp"});
     TextTable ms_table({"scheduler", "none", "ubp", "dbp"});
-    for (const auto &sched : scheds()) {
-        ws_table.beginRow();
-        ws_table.cell(sched);
-        ms_table.beginRow();
-        ms_table.cell(sched);
-        for (const auto &part : parts()) {
-            std::string scheme = sched + "+" + part;
-            ws_table.cell(geomean(sweepColumn(run, "",
-                                              sensitivityMixes(),
-                                              scheme, "ws")),
-                          3);
-            ms_table.cell(geomean(sweepColumn(run, "",
-                                              sensitivityMixes(),
-                                              scheme, "ms")),
-                          3);
+    for (const auto &scheme : s.schemes) {
+        // Scheduler-major: a scheduler's row starts at its first
+        // partition.
+        if (scheme.partition == parts().front()) {
+            ws_table.beginRow();
+            ws_table.cell(scheme.scheduler);
+            ms_table.beginRow();
+            ms_table.cell(scheme.scheduler);
         }
+        ws_table.cell(sweepGmean(run, s, scheme.name, "ws"), 3);
+        ms_table.cell(sweepGmean(run, s, scheme.name, "ms"), 3);
     }
     os << "weighted speedup:\n";
     ws_table.print(os);
@@ -78,7 +69,7 @@ const CampaignRegistrar reg({
     "scheduler x partition landscape (gmean WS)",
     "Expected shape: the dbp column beats none/ubp for every "
     "scheduler; the best cell is a combination.",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

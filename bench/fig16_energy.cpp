@@ -15,21 +15,23 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP"), schemeByName("DBP-TCM")};
+    return {rc, sensitivityMixes(),
+            {schemeByName("FR-FCFS"), schemeByName("UBP"),
+             schemeByName("DBP"), schemeByName("DBP-TCM")}};
 }
 
 void
 plan(CampaignPlan &p, CampaignContext &ctx)
 {
+    const MixSweep s = sweep(ctx.config());
     // Refresh is on by default; a zero refresh-energy term then means
     // the REF counts were dropped on the floor somewhere between the
     // channel stats and the energy model.
     const bool refresh =
-        ctx.config().base.controller.refresh.mode != RefreshMode::None;
+        s.config.base.controller.refresh.mode != RefreshMode::None;
     auto energy = [refresh](Json &j, const MixResult &r) {
         const DramEnergyBreakdown &e = r.energy;
         if (refresh && e.refreshNj <= 0.0)
@@ -45,7 +47,7 @@ plan(CampaignPlan &p, CampaignContext &ctx)
         j.set("background_nj", e.backgroundNj);
         j.set("total_nj", e.totalNj());
     };
-    planMixSweep(p, sensitivityMixes(), schemes(), energy);
+    planMixSweep(p, s, energy);
 }
 
 void
@@ -53,27 +55,20 @@ render(CampaignRun &run, std::ostream &os)
 {
     TextTable table({"scheme", "ACT per kilo-request", "act+pre (mJ)",
                      "rd+wr (mJ)", "refresh (mJ)", "total (mJ)"});
-    for (const auto &scheme : schemes()) {
-        double acts = 0, reqs = 0;
-        double act_pre = 0, rdwr = 0, refresh = 0, total = 0;
-        for (const auto &mix : sensitivityMixes()) {
-            const std::string k = sweepKey("", mix.name, scheme.name);
-            acts += run.num(k, "acts");
-            reqs += run.num(k, "requests");
-            act_pre += run.num(k, "act_pre_nj");
-            rdwr += run.num(k, "read_nj") + run.num(k, "write_nj");
-            refresh += run.num(k, "refresh_nj");
-            total += run.num(k, "total_nj");
-        }
+    const MixSweep s = sweep(run.config());
+    for (const auto &scheme : s.schemes) {
+        auto sum = [&](const char *field) {
+            return sweepSum(run, s, scheme.name, field);
+        };
+        double acts_per_kreq = 1000.0 * sum("acts") / sum("requests");
         table.beginRow();
         table.cell(scheme.name);
-        table.cell(1000.0 * acts / reqs, 1);
-        table.cell(act_pre * 1e-6, 3);
-        table.cell(rdwr * 1e-6, 3);
-        table.cell(refresh * 1e-6, 3);
-        table.cell(total * 1e-6, 3);
-        run.summary("acts_per_kreq_" + scheme.name,
-                    1000.0 * acts / reqs);
+        table.cell(acts_per_kreq, 1);
+        table.cell(sum("act_pre_nj") * 1e-6, 3);
+        table.cell((sum("read_nj") + sum("write_nj")) * 1e-6, 3);
+        table.cell(sum("refresh_nj") * 1e-6, 3);
+        table.cell(sum("total_nj") * 1e-6, 3);
+        run.summary("acts_per_kreq_" + scheme.name, acts_per_kreq);
     }
     table.print(os);
 }

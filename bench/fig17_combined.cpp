@@ -15,27 +15,22 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("MCP"), schemeByName("DBP"),
-            schemeByName("DBP-MCP"), schemeByName("DBP-TCM"),
-            schemeByName("DBP-MCP-TCM")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, sensitivityMixes(), schemes());
+    return {rc, sensitivityMixes(),
+            {schemeByName("MCP"), schemeByName("DBP"),
+             schemeByName("DBP-MCP"), schemeByName("DBP-TCM"),
+             schemeByName("DBP-MCP-TCM")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    printSweepMetric(run, "", sensitivityMixes(), schemes(), "ws",
-                     "weighted speedup", os);
-    printSweepMetric(run, "", sensitivityMixes(), schemes(), "ms",
-                     "maximum slowdown (lower = fairer)", os);
+    const MixSweep s = sweep(run.config());
+    printSweepMetric(run, s, "ws", "weighted speedup", os);
+    printSweepMetric(run, s, "ms", "maximum slowdown (lower = fairer)",
+                     os);
 }
 
 const CampaignRegistrar reg({
@@ -46,7 +41,7 @@ const CampaignRegistrar reg({
     "window: DBP-MCP has WS 4.838 / MS 2.779 against DBP's 5.129 /\n"
     "2.028 and MCP's 5.046 / 2.295; DBP-MCP-TCM has 4.812 / 2.899 "
     "against DBP-TCM's 5.072 / 2.128.",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

@@ -16,60 +16,38 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-struct Variant
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    const char *name;
-    PagePolicy policy;
-    const char *part;
-};
-
-const std::vector<Variant> &
-variants()
-{
-    static const std::vector<Variant> v = {
-        {"open / none", PagePolicy::Open, "none"},
-        {"adaptive / none", PagePolicy::OpenAdaptive, "none"},
-        {"closed / none", PagePolicy::Closed, "none"},
-        {"open / dbp", PagePolicy::Open, "dbp"},
-        {"adaptive / dbp", PagePolicy::OpenAdaptive, "dbp"},
-        {"closed / dbp", PagePolicy::Closed, "dbp"},
+    const std::pair<const char *, PagePolicy> policies[] = {
+        {"open", PagePolicy::Open},
+        {"adaptive", PagePolicy::OpenAdaptive},
+        {"closed", PagePolicy::Closed},
     };
-    return v;
-}
-
-std::string
-prefixFor(const Variant &v)
-{
-    return std::string(v.name) + "/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (const auto &v : variants()) {
-        RunConfig cfg = ctx.config();
-        cfg.base.controller.pagePolicy = v.policy;
-        Scheme scheme{v.name, "fr-fcfs", v.part};
-        planMixSweep(p, cfg, prefixFor(v), sensitivityMixes(),
-                     {scheme});
+    std::vector<MixSweep> out;
+    for (const std::string part : {"none", "dbp"}) {
+        for (const auto &[name, policy] : policies) {
+            // The label names the sweep's one scheme too.
+            const std::string label = name + (" / " + part);
+            RunConfig cfg = base;
+            cfg.base.controller.pagePolicy = policy;
+            out.push_back({cfg, sensitivityMixes(),
+                           {Scheme{label, "fr-fcfs", part}}, label,
+                           label + "/"});
+        }
     }
+    return out;
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
     TextTable table({"variant", "gmean WS", "gmean MS"});
-    for (const auto &v : variants()) {
+    for (const auto &s : sweeps(run.config())) {
         table.beginRow();
-        table.cell(v.name);
-        table.cell(geomean(sweepColumn(run, prefixFor(v),
-                                       sensitivityMixes(), v.name,
-                                       "ws")),
-                   3);
-        table.cell(geomean(sweepColumn(run, prefixFor(v),
-                                       sensitivityMixes(), v.name,
-                                       "ms")),
-                   3);
+        table.cell(s.label);
+        table.cell(sweepGmean(run, s, s.label, "ws"), 3);
+        table.cell(sweepGmean(run, s, s.label, "ms"), 3);
     }
     table.print(os);
 }
@@ -82,7 +60,7 @@ const CampaignRegistrar reg({
     "reproduced at the default window: under DBP closed-page leads "
     "open (WS 5.497\nvs 5.121, MS 1.838 vs 2.027) and adaptive trails "
     "open (WS 5.046, MS 2.116).",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

@@ -17,18 +17,19 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP"), schemeByName("TCM"),
-            schemeByName("DBP-TCM")};
+    return {rc, sensitivityMixes(),
+            {schemeByName("FR-FCFS"), schemeByName("UBP"),
+             schemeByName("DBP"), schemeByName("TCM"),
+             schemeByName("DBP-TCM")}};
 }
 
 void
-plan(CampaignPlan &p, CampaignContext &)
+plan(CampaignPlan &p, CampaignContext &ctx)
 {
-    planMixSweep(p, sensitivityMixes(), schemes(),
+    planMixSweep(p, sweep(ctx.config()),
                  [](Json &j, const MixResult &r) {
                      j.set("p50", Json::array(r.readLatencyP50));
                      j.set("p95", Json::array(r.readLatencyP95));
@@ -40,12 +41,12 @@ render(CampaignRun &run, std::ostream &os)
 {
     TextTable table({"scheme", "mean P50", "mean P95",
                      "worst-thread P95"});
-    for (const auto &scheme : schemes()) {
+    const MixSweep s = sweep(run.config());
+    for (const auto &scheme : s.schemes) {
         double p50_sum = 0, p95_sum = 0, worst95 = 0;
         unsigned threads = 0;
-        for (const auto &mix : sensitivityMixes()) {
-            const Json &job =
-                run.job(sweepKey("", mix.name, scheme.name));
+        for (const auto &mix : s.mixes) {
+            const Json &job = sweepJob(run, s, mix.name, scheme.name);
             const Json &p50 = job.at("p50");
             const Json &p95 = job.at("p95");
             for (std::size_t t = 0; t < p95.size(); ++t) {

@@ -14,14 +14,19 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-const char *kMix = "W10"; // 100 % intensive.
+MixSweep
+sweep(const RunConfig &rc)
+{
+    return {rc, {mixByName("W10")}, // 100 % intensive.
+            {schemeByName("FR-FCFS"), schemeByName("UBP")}};
+}
 
 void
-plan(CampaignPlan &p, CampaignContext &)
+plan(CampaignPlan &p, CampaignContext &context)
 {
-    const WorkloadMix &mix = mixByName(kMix);
-    planMixSweep(p, {mix}, {schemeByName("FR-FCFS"), schemeByName("UBP")});
-    for (const auto &app : mix.apps) {
+    const MixSweep s = sweep(context.config());
+    planMixSweep(p, s);
+    for (const auto &app : s.mixes.front().apps) {
         p.add("alone/" + app, [app](CampaignContext &ctx) {
             AloneBaseline b = ctx.baselines().get(ctx.config(), app);
             Json j = Json::object();
@@ -34,9 +39,10 @@ plan(CampaignPlan &p, CampaignContext &)
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    const WorkloadMix &mix = mixByName(kMix);
-    const Json &shared = run.job(sweepKey("", mix.name, "FR-FCFS"));
-    const Json &ubp = run.job(sweepKey("", mix.name, "UBP"));
+    const MixSweep s = sweep(run.config());
+    const WorkloadMix &mix = s.mixes.front();
+    const Json &shared = sweepJob(run, s, mix.name, "FR-FCFS");
+    const Json &ubp = sweepJob(run, s, mix.name, "UBP");
 
     TextTable table({"app", "alone RB hit", "shared RB hit",
                      "UBP RB hit", "lost (alone-shared)"});

@@ -22,84 +22,42 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-struct Mode
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    const char *name;
-    RefreshMode mode;
-    bool aware;
-};
-
-const std::vector<Mode> &
-modes()
-{
-    static const std::vector<Mode> m = {
-        {"none", RefreshMode::None, false},
-        {"all-bank", RefreshMode::AllBank, false},
-        {"per-bank", RefreshMode::PerBank, false},
-        {"darp", RefreshMode::PerBank, true},
-    };
-    return m;
-}
-
-std::vector<Scheme>
-schemes()
-{
-    return {schemeByName("FR-FCFS"), schemeByName("DBP"),
-            schemeByName("DBP-TCM")};
-}
-
-std::string
-prefixFor(const Mode &m)
-{
-    return std::string(m.name) + "/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (const auto &m : modes()) {
-        RunConfig cfg = ctx.config();
-        cfg.base.controller.refresh.mode = m.mode;
-        cfg.base.controller.refresh.aware = m.aware;
+    std::vector<MixSweep> out;
+    auto mode = [&](const char *name, RefreshMode refresh, bool aware) {
+        RunConfig cfg = base;
+        cfg.base.controller.refresh.mode = refresh;
+        cfg.base.controller.refresh.aware = aware;
         cfg.base.protocolCheck = true;
-        planMixSweep(p, cfg, prefixFor(m), sensitivityMixes(),
-                     schemes());
-    }
+        out.push_back({cfg, sensitivityMixes(),
+                       {schemeByName("FR-FCFS"), schemeByName("DBP"),
+                        schemeByName("DBP-TCM")},
+                       name, std::string(name) + "/"});
+    };
+    mode("none", RefreshMode::None, false);
+    mode("all-bank", RefreshMode::AllBank, false);
+    mode("per-bank", RefreshMode::PerBank, false);
+    mode("darp", RefreshMode::PerBank, true);
+    return out;
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    for (const char *field : {"ws", "ms"}) {
-        TextTable table({std::string("gmean ") + field + " (refresh)",
-                         "FR-FCFS", "DBP", "DBP-TCM"});
-        for (const auto &m : modes()) {
-            table.beginRow();
-            table.cell(m.name);
-            for (const auto &s : schemes()) {
-                double g = geomean(sweepColumn(run, prefixFor(m),
-                                               sensitivityMixes(),
-                                               s.name, field));
-                table.cell(g, 3);
-                run.summary(std::string("gmean_") + field + "_" +
-                                prefixFor(m) + s.name,
-                            g);
-            }
-        }
-        table.print(os);
-        os << '\n';
-    }
+    const std::vector<MixSweep> rows = sweeps(run.config());
+    for (const std::string field : {"ws", "ms"})
+        printSweepGmeans(run, rows, field,
+                         "gmean " + field + " (refresh)", os);
 
     // How much of the refresh-induced loss does per-bank refresh
     // recover under DBP? (100 % = back to the no-refresh ideal.)
-    auto gm = [&](const char *mode, const char *scheme,
-                  const char *field) {
-        return geomean(sweepColumn(run, std::string(mode) + "/",
-                                   sensitivityMixes(), scheme, field));
-    };
-    double ws_none = gm("none", "DBP", "ws");
-    double ws_all = gm("all-bank", "DBP", "ws");
-    double ws_pb = gm("per-bank", "DBP", "ws");
+    const MixSweep &none = rows[0], &all_bank = rows[1],
+                   &per_bank = rows[2];
+    double ws_none = sweepGmean(run, none, "DBP", "ws");
+    double ws_all = sweepGmean(run, all_bank, "DBP", "ws");
+    double ws_pb = sweepGmean(run, per_bank, "DBP", "ws");
     if (ws_none > ws_all) {
         double recovered =
             100.0 * (ws_pb - ws_all) / (ws_none - ws_all);
@@ -120,7 +78,7 @@ const CampaignRegistrar reg({
     "(DBP 5.158 vs 5.142 WS, 2.000 vs 2.028 MS), and FR-FCFS gains "
     "more from per-bank\nover all-bank (4.932 -> 4.965 WS) than DBP "
     "(5.129 -> 5.158).",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

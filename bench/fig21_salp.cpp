@@ -29,90 +29,46 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-struct Mode
+std::vector<MixSweep>
+sweeps(const RunConfig &base)
 {
-    const char *name;
-    SalpMode salp;
-    unsigned subarrays;
-    bool color;
-};
-
-const std::vector<Mode> &
-modes()
-{
-    static const std::vector<Mode> m = {
-        {"s1", SalpMode::None, 1, false},
-        {"salp1-8", SalpMode::Salp1, 8, false},
-        {"salp2-8", SalpMode::Salp2, 8, false},
-        {"masa-4", SalpMode::Masa, 4, false},
-        {"masa-8", SalpMode::Masa, 8, false},
-        {"masa-8c", SalpMode::Masa, 8, true},
-    };
-    return m;
-}
-
-std::vector<Scheme>
-schemes()
-{
-    return {schemeByName("UBP"), schemeByName("DBP")};
-}
-
-std::string
-prefixFor(const Mode &m)
-{
-    return std::string(m.name) + "/";
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &ctx)
-{
-    for (const auto &m : modes()) {
-        RunConfig cfg = ctx.config();
-        cfg.base.controller.salp = m.salp;
-        cfg.base.geometry.subarraysPerBank = m.subarrays;
-        cfg.base.subarrayColoring = m.color;
+    std::vector<MixSweep> out;
+    auto mode = [&](const char *name, SalpMode salp, unsigned subarrays,
+                    bool color) {
+        RunConfig cfg = base;
+        cfg.base.controller.salp = salp;
+        cfg.base.geometry.subarraysPerBank = subarrays;
+        cfg.base.subarrayColoring = color;
         cfg.base.protocolCheck = true;
-        planMixSweep(p, cfg, prefixFor(m), sensitivityMixes(),
-                     schemes());
-    }
+        out.push_back({cfg, sensitivityMixes(),
+                       {schemeByName("UBP"), schemeByName("DBP")}, name,
+                       std::string(name) + "/"});
+    };
+    mode("s1", SalpMode::None, 1, false);
+    mode("salp1-8", SalpMode::Salp1, 8, false);
+    mode("salp2-8", SalpMode::Salp2, 8, false);
+    mode("masa-4", SalpMode::Masa, 4, false);
+    mode("masa-8", SalpMode::Masa, 8, false);
+    mode("masa-8c", SalpMode::Masa, 8, true);
+    return out;
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    for (const char *field : {"ws", "ms"}) {
-        TextTable table({std::string("gmean ") + field + " (salp)",
-                         "UBP", "DBP"});
-        for (const auto &m : modes()) {
-            table.beginRow();
-            table.cell(m.name);
-            for (const auto &s : schemes()) {
-                double g = geomean(sweepColumn(run, prefixFor(m),
-                                               sensitivityMixes(),
-                                               s.name, field));
-                table.cell(g, 3);
-                run.summary(std::string("gmean_") + field + "_" +
-                                prefixFor(m) + s.name,
-                            g);
-            }
-        }
-        table.print(os);
-        os << '\n';
-    }
-
-    auto gm = [&](const char *mode, const char *scheme,
-                  const char *field) {
-        return geomean(sweepColumn(run, std::string(mode) + "/",
-                                   sensitivityMixes(), scheme, field));
-    };
+    const std::vector<MixSweep> rows = sweeps(run.config());
+    for (const std::string field : {"ws", "ms"})
+        printSweepGmeans(run, rows, field, "gmean " + field + " (salp)",
+                         os);
 
     // Does MASA close the BLP gap partitioning opens? Compare each
     // scheme's MASA-equipped machine against its single-subarray one,
     // and the partitioning gap (DBP over UBP) in both worlds.
-    double ubp_s1 = gm("s1", "UBP", "ws");
-    double ubp_masa = gm("masa-8", "UBP", "ws");
-    double dbp_s1 = gm("s1", "DBP", "ws");
-    double dbp_masa = gm("masa-8", "DBP", "ws");
+    const MixSweep &s1 = rows[0], &masa8 = rows[4];
+    double ubp_s1 = sweepGmean(run, s1, "UBP", "ws");
+    double ubp_masa = sweepGmean(run, masa8, "UBP", "ws");
+    double dbp_s1 = sweepGmean(run, s1, "DBP", "ws");
+    double dbp_masa = sweepGmean(run, masa8, "DBP", "ws");
     run.summary("ws_gain_pct_UBP_masa8", pctGain(ubp_s1, ubp_masa));
     run.summary("ws_gain_pct_DBP_masa8", pctGain(dbp_s1, dbp_masa));
     os << "weighted-speedup gain from MASA (8 subarrays): UBP "
@@ -135,7 +91,7 @@ const CampaignRegistrar reg({
     "SALP-1/SALP-2 (2.028 -> 2.081/2.072); and\nmasa-8c trails masa-8 "
     "on both (UBP WS 4.905 vs 4.929, MS 2.421 vs 2.371; DBP 4.861 vs "
     "4.957,\n2.401 vs 2.198).",
-    plan,
+    sweepPlan(sweeps),
     render,
 });
 

@@ -24,44 +24,26 @@ apps()
     return a;
 }
 
-const std::vector<unsigned> &
-bankCounts()
-{
-    static const std::vector<unsigned> k = {1, 2, 4, 8, 16, 32};
-    return k;
-}
-
-std::string
-key(const std::string &app, unsigned k)
-{
-    return app + "/" + std::to_string(k) + "bk";
-}
-
 void
 plan(CampaignPlan &p, CampaignContext &)
 {
-    for (const auto &app : apps()) {
-        for (unsigned k : bankCounts()) {
-            p.add(key(app, k), [app, k](CampaignContext &ctx) {
-                Json j = Json::object();
-                j.set("ipc",
-                      aloneIpcWithBanks(ctx.config(), app, k));
-                return j;
-            });
-        }
-    }
+    for (const auto &app : apps())
+        planAloneBankSweep(p, app);
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    TextTable table({"app", "1", "2", "4", "8", "16", "32"});
+    std::vector<std::string> headers{"app"};
+    for (unsigned k : aloneBankCounts())
+        headers.push_back(std::to_string(k));
+    TextTable table(headers);
     for (const auto &app : apps()) {
-        double base = run.num(key(app, 32), "ipc");
+        double base = aloneBanksIpc(run, app, aloneBankCounts().back());
         table.beginRow();
         table.cell(app);
-        for (unsigned k : bankCounts())
-            table.cell(run.num(key(app, k), "ipc") / base, 3);
+        for (unsigned k : aloneBankCounts())
+            table.cell(aloneBanksIpc(run, app, k) / base, 3);
     }
     table.print(os);
 }

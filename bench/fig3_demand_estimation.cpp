@@ -16,13 +16,6 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-const std::vector<unsigned> &
-bankCounts()
-{
-    static const std::vector<unsigned> k = {1, 2, 4, 8, 16, 32};
-    return k;
-}
-
 std::vector<std::string>
 intensiveApps()
 {
@@ -31,12 +24,6 @@ intensiveApps()
         if (info.intensive)
             out.push_back(info.name);
     return out;
-}
-
-std::string
-bankKey(const std::string &app, unsigned k)
-{
-    return app + "/" + std::to_string(k) + "bk";
 }
 
 void
@@ -50,14 +37,7 @@ plan(CampaignPlan &p, CampaignContext &)
             j.set("row_hit_rate", b.profile.rowBufferHitRate);
             return j;
         });
-        for (unsigned k : bankCounts()) {
-            p.add(bankKey(app, k), [app, k](CampaignContext &ctx) {
-                Json j = Json::object();
-                j.set("ipc",
-                      aloneIpcWithBanks(ctx.config(), app, k));
-                return j;
-            });
-        }
+        planAloneBankSweep(p, app);
     }
 }
 
@@ -72,10 +52,11 @@ render(CampaignRun &run, std::ostream &os)
         // DBP's demand signal: row misses per kilo-instruction.
         double demand = mpki * (1.0 - rbhr);
 
-        double full = run.num(bankKey(app, 32), "ipc");
-        unsigned sufficient = 32;
-        for (unsigned k : bankCounts()) {
-            if (run.num(bankKey(app, k), "ipc") >= 0.9 * full) {
+        const unsigned all = aloneBankCounts().back();
+        double full = aloneBanksIpc(run, app, all);
+        unsigned sufficient = all;
+        for (unsigned k : aloneBankCounts()) {
+            if (aloneBanksIpc(run, app, k) >= 0.9 * full) {
                 sufficient = k;
                 break;
             }

@@ -13,28 +13,22 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, allMixes(), schemes());
+    return {rc, standardMixes(),
+            {schemeByName("FR-FCFS"), schemeByName("UBP"),
+             schemeByName("DBP")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    printSweepMetric(run, "", allMixes(), schemes(), "ws",
-                     "weighted speedup", os);
+    const MixSweep s = sweep(run.config());
+    printSweepMetric(run, s, "ws", "weighted speedup", os);
 
-    double ubp = geomean(sweepColumn(run, "", allMixes(), "UBP", "ws"));
-    double dbp = geomean(sweepColumn(run, "", allMixes(), "DBP", "ws"));
-    double gain = pctGain(ubp, dbp);
+    double gain = pctGain(sweepGmean(run, s, "UBP", "ws"),
+                          sweepGmean(run, s, "DBP", "ws"));
     run.summary("gmean_ws_gain_dbp_vs_ubp_pct", gain);
     os << "DBP vs UBP gmean WS gain: " << formatDouble(gain, 2)
        << " %  (paper: +4.3 %)\n";
@@ -45,7 +39,7 @@ const CampaignRegistrar reg({
     "weighted speedup: FR-FCFS vs UBP vs DBP",
     "Expected shape: DBP above UBP above FR-FCFS on most mixes, with "
     "a positive gmean gain.",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

@@ -12,29 +12,24 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, allMixes(), schemes());
+    return {rc, standardMixes(),
+            {schemeByName("FR-FCFS"), schemeByName("UBP"),
+             schemeByName("DBP")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    printSweepMetric(run, "", allMixes(), schemes(), "ms",
-                     "maximum slowdown (lower = fairer)", os);
+    const MixSweep s = sweep(run.config());
+    printSweepMetric(run, s, "ms", "maximum slowdown (lower = fairer)",
+                     os);
 
-    double ubp = geomean(sweepColumn(run, "", allMixes(), "UBP", "ms"));
-    double dbp = geomean(sweepColumn(run, "", allMixes(), "DBP", "ms"));
     // Fairness improvement = reduction in max slowdown.
-    double gain = pctDrop(ubp, dbp);
+    double gain = pctDrop(sweepGmean(run, s, "UBP", "ms"),
+                          sweepGmean(run, s, "DBP", "ms"));
     run.summary("gmean_fairness_gain_dbp_vs_ubp_pct", gain);
     os << "DBP vs UBP gmean fairness gain: " << formatDouble(gain, 2)
        << " %  (paper: +16 %)\n";
@@ -45,7 +40,7 @@ const CampaignRegistrar reg({
     "maximum slowdown: FR-FCFS vs UBP vs DBP",
     "Expected shape: DBP's max slowdown below UBP's on most mixes "
     "(positive fairness gain).",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

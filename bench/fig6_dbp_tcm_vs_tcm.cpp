@@ -15,32 +15,25 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("TCM"), schemeByName("DBP-TCM")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, allMixes(), schemes());
+    return {rc, standardMixes(),
+            {schemeByName("TCM"), schemeByName("DBP-TCM")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    printSweepMetric(run, "", allMixes(), schemes(), "ws",
-                     "weighted speedup", os);
-    printSweepMetric(run, "", allMixes(), schemes(), "ms",
-                     "maximum slowdown (lower = fairer)", os);
+    const MixSweep s = sweep(run.config());
+    printSweepMetric(run, s, "ws", "weighted speedup", os);
+    printSweepMetric(run, s, "ms", "maximum slowdown (lower = fairer)",
+                     os);
 
-    double tcm_ws = geomean(sweepColumn(run, "", allMixes(), "TCM", "ws"));
-    double comb_ws =
-        geomean(sweepColumn(run, "", allMixes(), "DBP-TCM", "ws"));
-    double tcm_ms = geomean(sweepColumn(run, "", allMixes(), "TCM", "ms"));
-    double comb_ms =
-        geomean(sweepColumn(run, "", allMixes(), "DBP-TCM", "ms"));
+    double tcm_ws = sweepGmean(run, s, "TCM", "ws");
+    double comb_ws = sweepGmean(run, s, "DBP-TCM", "ws");
+    double tcm_ms = sweepGmean(run, s, "TCM", "ms");
+    double comb_ms = sweepGmean(run, s, "DBP-TCM", "ms");
 
     double ws_gain = pctGain(tcm_ws, comb_ws);
     double fair_gain = pctDrop(tcm_ms, comb_ms);
@@ -57,7 +50,7 @@ const CampaignRegistrar reg({
     "TCM vs DBP-TCM (throughput and fairness)",
     "Expected shape: the combination beats TCM alone on both metrics "
     "for most mixes.",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

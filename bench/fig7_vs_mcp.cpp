@@ -14,33 +14,26 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("MCP"), schemeByName("DBP"),
-            schemeByName("DBP-TCM")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, allMixes(), schemes());
+    return {rc, standardMixes(),
+            {schemeByName("MCP"), schemeByName("DBP"),
+             schemeByName("DBP-TCM")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    printSweepMetric(run, "", allMixes(), schemes(), "ws",
-                     "weighted speedup", os);
-    printSweepMetric(run, "", allMixes(), schemes(), "ms",
-                     "maximum slowdown (lower = fairer)", os);
+    const MixSweep s = sweep(run.config());
+    printSweepMetric(run, s, "ws", "weighted speedup", os);
+    printSweepMetric(run, s, "ms", "maximum slowdown (lower = fairer)",
+                     os);
 
-    double mcp_ws = geomean(sweepColumn(run, "", allMixes(), "MCP", "ws"));
-    double comb_ws =
-        geomean(sweepColumn(run, "", allMixes(), "DBP-TCM", "ws"));
-    double mcp_ms = geomean(sweepColumn(run, "", allMixes(), "MCP", "ms"));
-    double comb_ms =
-        geomean(sweepColumn(run, "", allMixes(), "DBP-TCM", "ms"));
+    double mcp_ws = sweepGmean(run, s, "MCP", "ws");
+    double comb_ws = sweepGmean(run, s, "DBP-TCM", "ws");
+    double mcp_ms = sweepGmean(run, s, "MCP", "ms");
+    double comb_ms = sweepGmean(run, s, "DBP-TCM", "ms");
 
     double ws_gain = pctGain(mcp_ws, comb_ws);
     double fair_gain = pctDrop(mcp_ms, comb_ms);
@@ -57,7 +50,7 @@ const CampaignRegistrar reg({
     "MCP vs DBP vs DBP-TCM",
     "Expected shape: DBP-TCM ahead of MCP on throughput and far ahead "
     "on fairness.",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

@@ -13,43 +13,36 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-const char *kMix = "W06";
-
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("FR-FCFS"), schemeByName("MCP"),
-            schemeByName("DBP"), schemeByName("DBP-TCM")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, {mixByName(kMix)}, schemes());
+    return {rc, {mixByName("W06")},
+            {schemeByName("FR-FCFS"), schemeByName("MCP"),
+             schemeByName("DBP"), schemeByName("DBP-TCM")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    const WorkloadMix &mix = mixByName(kMix);
-    const std::vector<Scheme> ss = schemes();
+    const MixSweep sw = sweep(run.config());
+    const WorkloadMix &mix = sw.mixes.front();
 
     std::vector<std::string> headers{"app"};
-    for (const auto &s : ss)
+    for (const auto &s : sw.schemes)
         headers.push_back(s.name);
     TextTable table(headers);
     for (std::size_t t = 0; t < mix.apps.size(); ++t) {
         table.beginRow();
         table.cell(mix.apps[t]);
-        for (const auto &s : ss) {
-            const Json &job = run.job(sweepKey("", mix.name, s.name));
+        for (const auto &s : sw.schemes) {
+            const Json &job = sweepJob(run, sw, mix.name, s.name);
             table.cell(job.at("slowdowns").at(t).asDouble(), 3);
         }
     }
     table.beginRow();
     table.cell("MAX");
-    for (const auto &s : ss) {
-        double ms = run.num(sweepKey("", mix.name, s.name), "ms");
+    for (const auto &s : sw.schemes) {
+        double ms = sweepJob(run, sw, mix.name, s.name).at("ms").asDouble();
         table.cell(ms, 3);
         run.summary("max_slowdown_" + s.name, ms);
     }
@@ -61,7 +54,7 @@ const CampaignRegistrar reg({
     "per-thread slowdowns in one mix",
     "Expected shape: MCP's worst thread (an intensive one) suffers far "
     "more than under DBP/DBP-TCM.",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

@@ -13,24 +13,19 @@ namespace {
 using namespace dbpsim;
 using namespace dbpsim::bench;
 
-std::vector<Scheme>
-schemes()
+MixSweep
+sweep(const RunConfig &rc)
 {
-    return {schemeByName("FR-FCFS"), schemeByName("UBP"),
-            schemeByName("DBP"),     schemeByName("TCM"),
-            schemeByName("DBP-TCM"), schemeByName("MCP")};
-}
-
-void
-plan(CampaignPlan &p, CampaignContext &)
-{
-    planMixSweep(p, allMixes(), schemes());
+    return {rc, standardMixes(),
+            {schemeByName("FR-FCFS"), schemeByName("UBP"),
+             schemeByName("DBP"), schemeByName("TCM"),
+             schemeByName("DBP-TCM"), schemeByName("MCP")}};
 }
 
 void
 render(CampaignRun &run, std::ostream &os)
 {
-    printSweepMetric(run, "", allMixes(), schemes(), "hs",
+    printSweepMetric(run, sweep(run.config()), "hs",
                      "harmonic speedup (higher = better balance)", os);
 }
 
@@ -40,7 +35,7 @@ const CampaignRegistrar reg({
     "Expected shape: DBP-TCM leads the gmean row; FR-FCFS trails.\n"
     "Not reproduced at the default window: DBP leads (0.663, DBP-TCM "
     "0.652) and MCP trails (0.602,\nFR-FCFS 0.628).",
-    plan,
+    sweepPlan(sweep),
     render,
 });
 

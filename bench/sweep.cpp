@@ -61,10 +61,14 @@ sweepCampaign(const Config &cfg)
     spec.name = "sweep";
     spec.title = "schemes on " + mix.name + " (" +
         formatDouble(100 * mix.intensiveFraction(), 0) + " % intensive)";
-    spec.plan = [mix, schemes](CampaignPlan &plan, CampaignContext &) {
-        planMixSweep(plan, {mix}, schemes);
+    auto sweep = [mix, schemes](const RunConfig &rc) {
+        return MixSweep{rc, {mix}, schemes};
     };
-    spec.render = [mix, schemes](CampaignRun &run, std::ostream &os) {
+    spec.plan = [sweep](CampaignPlan &plan, CampaignContext &ctx) {
+        planMixSweep(plan, sweep(ctx.config()));
+    };
+    spec.render = [sweep, mix](CampaignRun &run, std::ostream &os) {
+        const MixSweep sw = sweep(run.config());
         TextTable summary({"scheme", "scheduler", "partition",
                            "weighted speedup", "max slowdown",
                            "harmonic speedup", "pages migrated"});
@@ -78,10 +82,10 @@ sweepCampaign(const Config &cfg)
             for (std::size_t t = 0; t < v.size(); ++t)
                 detail.cell(v.at(t).asDouble());
         };
-        row("alone IPC", run.job(sweepKey("", mix.name, schemes[0].name))
+        row("alone IPC", sweepJob(run, sw, mix.name, sw.schemes[0].name)
                              .at("alone_ipc"));
-        for (const auto &s : schemes) {
-            const Json &job = run.job(sweepKey("", mix.name, s.name));
+        for (const auto &s : sw.schemes) {
+            const Json &job = sweepJob(run, sw, mix.name, s.name);
             summary.beginRow();
             summary.cell(s.name);
             summary.cell(s.scheduler);

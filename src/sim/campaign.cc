@@ -63,12 +63,6 @@ CampaignRun::summary(const std::string &name, double value)
     summary_.set(name, value);
 }
 
-void
-CampaignRun::summary(const std::string &name, const std::string &value)
-{
-    summary_.set(name, value);
-}
-
 Json
 CampaignRun::jobsJson() const
 {
@@ -266,15 +260,15 @@ sweepKey(const std::string &prefix, const std::string &mix,
 }
 
 void
-planMixSweep(CampaignPlan &plan, const std::vector<WorkloadMix> &mixes,
-             const std::vector<Scheme> &schemes, MixFields fields)
+planMixSweep(CampaignPlan &plan, const MixSweep &sweep, MixFields fields)
 {
-    for (const auto &mix : mixes) {
-        for (const auto &scheme : schemes) {
-            plan.add(sweepKey("", mix.name, scheme.name),
-                     [mix, scheme, fields](CampaignContext &ctx) {
-                         MixResult r = runMixJob(ctx.config(), mix, scheme,
-                                                 ctx.baselines());
+    for (const auto &mix : sweep.mixes) {
+        for (const auto &scheme : sweep.schemes) {
+            plan.add(sweepKey(sweep.prefix, mix.name, scheme.name),
+                     [rc = sweep.config, mix, scheme,
+                      fields](CampaignContext &ctx) {
+                         MixResult r =
+                             runMixJob(rc, mix, scheme, ctx.baselines());
                          Json j = mixResultToJson(r);
                          if (fields)
                              fields(j, r);
@@ -284,66 +278,106 @@ planMixSweep(CampaignPlan &plan, const std::vector<WorkloadMix> &mixes,
     }
 }
 
-void
-planMixSweep(CampaignPlan &plan, const RunConfig &rc,
-             const std::string &prefix,
-             const std::vector<WorkloadMix> &mixes,
-             const std::vector<Scheme> &schemes)
+const Json &
+sweepJob(const CampaignRun &run, const MixSweep &sweep,
+         const std::string &mix, const std::string &scheme)
 {
-    for (const auto &mix : mixes) {
-        for (const auto &scheme : schemes) {
-            plan.add(sweepKey(prefix, mix.name, scheme.name),
-                     [rc, mix, scheme](CampaignContext &ctx) {
-                         return mixResultToJson(runMixJob(
-                             rc, mix, scheme, ctx.baselines()));
-                     });
-        }
-    }
+    return run.job(sweepKey(sweep.prefix, mix, scheme));
 }
 
+namespace {
+
+/** One metric of one scheme across the sweep's mixes, in mix order. */
 std::vector<double>
-sweepColumn(const CampaignRun &run, const std::string &prefix,
-            const std::vector<WorkloadMix> &mixes,
+sweepColumn(const CampaignRun &run, const MixSweep &sweep,
             const std::string &scheme, const std::string &field)
 {
     std::vector<double> out;
-    out.reserve(mixes.size());
-    for (const auto &mix : mixes)
-        out.push_back(run.num(sweepKey(prefix, mix.name, scheme),
-                              field));
+    out.reserve(sweep.mixes.size());
+    for (const auto &mix : sweep.mixes)
+        out.push_back(
+            sweepJob(run, sweep, mix.name, scheme).at(field).asDouble());
     return out;
 }
 
+} // namespace
+
+double
+sweepGmean(const CampaignRun &run, const MixSweep &sweep,
+           const std::string &scheme, const std::string &field)
+{
+    return geomean(sweepColumn(run, sweep, scheme, field));
+}
+
+double
+sweepSum(const CampaignRun &run, const MixSweep &sweep,
+         const std::string &scheme, const std::string &field)
+{
+    double sum = 0.0;
+    for (double v : sweepColumn(run, sweep, scheme, field))
+        sum += v;
+    return sum;
+}
+
+namespace {
+
+/** sweepGmean(), recorded as "gmean_<field>_<prefix><scheme>". */
+double
+recordSweepGmean(CampaignRun &run, const MixSweep &sweep,
+                 const std::string &scheme, const std::string &field)
+{
+    double g = sweepGmean(run, sweep, scheme, field);
+    run.summary("gmean_" + field + "_" + sweep.prefix + scheme, g);
+    return g;
+}
+
+} // namespace
+
 void
-printSweepMetric(CampaignRun &run, const std::string &prefix,
-                 const std::vector<WorkloadMix> &mixes,
-                 const std::vector<Scheme> &schemes,
+printSweepMetric(CampaignRun &run, const MixSweep &sweep,
                  const std::string &field, const std::string &title,
                  std::ostream &os)
 {
     std::vector<std::string> headers{"workload"};
-    for (const auto &s : schemes)
+    for (const auto &s : sweep.schemes)
         headers.push_back(s.name);
     TextTable table(headers);
 
-    for (const auto &mix : mixes) {
+    for (const auto &mix : sweep.mixes) {
         table.beginRow();
         table.cell(mix.name);
-        for (const auto &s : schemes)
-            table.cell(run.num(sweepKey(prefix, mix.name, s.name),
-                               field),
-                       3);
+        for (const auto &s : sweep.schemes)
+            table.cell(
+                sweepJob(run, sweep, mix.name, s.name).at(field).asDouble(),
+                3);
     }
     table.beginRow();
     table.cell("gmean");
-    for (const auto &s : schemes) {
-        double g = geomean(
-            sweepColumn(run, prefix, mixes, s.name, field));
-        table.cell(g, 3);
-        run.summary("gmean_" + field + "_" + prefix + s.name, g);
-    }
+    for (const auto &s : sweep.schemes)
+        table.cell(recordSweepGmean(run, sweep, s.name, field), 3);
 
     os << title << ":\n";
+    table.print(os);
+    os << '\n';
+}
+
+void
+printSweepGmeans(CampaignRun &run, const std::vector<MixSweep> &sweeps,
+                 const std::string &field, const std::string &corner,
+                 std::ostream &os)
+{
+    DBP_ASSERT(!sweeps.empty(), "a gmean table needs a sweep");
+    std::vector<std::string> headers{corner};
+    for (const auto &s : sweeps.front().schemes)
+        headers.push_back(s.name);
+    TextTable table(headers);
+
+    for (const auto &sweep : sweeps) {
+        table.beginRow();
+        table.cell(sweep.label);
+        for (const auto &s : sweeps.front().schemes)
+            table.cell(recordSweepGmean(run, sweep, s.name, field), 3);
+    }
     table.print(os);
     os << '\n';
 }

@@ -100,7 +100,6 @@ class CampaignRun
 
     /** Record a summary metric (lands in the result JSON). */
     void summary(const std::string &name, double value);
-    void summary(const std::string &name, const std::string &value);
 
     /** The accumulated summary object. */
     const Json &summaryJson() const { return summary_; }
@@ -186,48 +185,70 @@ Json mixResultToJson(const MixResult &r);
 std::string sweepKey(const std::string &prefix, const std::string &mix,
                      const std::string &scheme);
 
+/**
+ * One sweep of mix jobs: a runMixJob() per (mix, scheme) of @c mixes x
+ * @c schemes on @c config, keyed sweepKey(prefix, mix, scheme). A
+ * campaign builds each of its sweeps in one function that plan() and
+ * render() both call, so a job is read back under the key it was
+ * planned under.
+ */
+struct MixSweep
+{
+    RunConfig config;
+    std::vector<WorkloadMix> mixes;
+    std::vector<Scheme> schemes;
+
+    /** Row label in the campaign's tables ("32", "darp"). */
+    std::string label{};
+
+    /** Key prefix ("32bk/"); empty for a campaign's only sweep. */
+    std::string prefix{};
+};
+
 /** Fields a campaign adds to each job's mixResultToJson(). */
 using MixFields = std::function<void(Json &job, const MixResult &r)>;
 
 /**
- * Declare the standard sweep: one runMixJob() per (mix, scheme) on the
- * context's base configuration, written as mixResultToJson() plus
- * @p fields when given.
+ * Declare @p sweep's jobs in mix-major order, each written as
+ * mixResultToJson() plus @p fields when given.
  */
-void planMixSweep(CampaignPlan &plan,
-                  const std::vector<WorkloadMix> &mixes,
-                  const std::vector<Scheme> &schemes,
+void planMixSweep(CampaignPlan &plan, const MixSweep &sweep,
                   MixFields fields = nullptr);
 
-/**
- * Same, with an explicit (tweaked) configuration and a key prefix
- * ("16bk/") so several configurations coexist in one campaign.
- */
-void planMixSweep(CampaignPlan &plan, const RunConfig &rc,
-                  const std::string &prefix,
-                  const std::vector<WorkloadMix> &mixes,
-                  const std::vector<Scheme> &schemes);
+/** The result of @p sweep's job for (@p mix, @p scheme). */
+const Json &sweepJob(const CampaignRun &run, const MixSweep &sweep,
+                     const std::string &mix, const std::string &scheme);
 
 /**
- * One metric ("ws" / "hs" / "ms" / "pages_migrated" / ...) of one
- * scheme across @p mixes, in mix order.
+ * Geometric mean of one metric ("ws" / "hs" / "ms" / ...) of one scheme
+ * across the sweep's mixes.
  */
-std::vector<double> sweepColumn(const CampaignRun &run,
-                                const std::string &prefix,
-                                const std::vector<WorkloadMix> &mixes,
-                                const std::string &scheme,
-                                const std::string &field);
+double sweepGmean(const CampaignRun &run, const MixSweep &sweep,
+                  const std::string &scheme, const std::string &field);
+
+/** Sum of one metric of one scheme across the sweep's mixes, in mix
+ *  order ("pages_migrated", "acts", ...). */
+double sweepSum(const CampaignRun &run, const MixSweep &sweep,
+                const std::string &scheme, const std::string &field);
 
 /**
  * Print one metric across a sweep: one row per mix, one column per
  * scheme, plus a geometric-mean summary row. Also records
- * "gmean_<field>_<scheme>" summary entries on @p run.
+ * "gmean_<field>_<prefix><scheme>" summary entries on @p run.
  */
-void printSweepMetric(CampaignRun &run, const std::string &prefix,
-                      const std::vector<WorkloadMix> &mixes,
-                      const std::vector<Scheme> &schemes,
+void printSweepMetric(CampaignRun &run, const MixSweep &sweep,
                       const std::string &field,
                       const std::string &title, std::ostream &os);
+
+/**
+ * Print one metric's geometric means across several sweeps of the
+ * same schemes: one row per sweep (its label, under @p corner), one
+ * column per scheme. Records the same summary entries as
+ * printSweepMetric().
+ */
+void printSweepGmeans(CampaignRun &run, const std::vector<MixSweep> &sweeps,
+                      const std::string &field, const std::string &corner,
+                      std::ostream &os);
 
 } // namespace dbpsim
 

@@ -131,11 +131,12 @@ tinySweepSpec()
     CampaignSpec spec;
     spec.name = "tiny-sweep";
     spec.title = "campaign determinism fixture";
-    spec.plan = [mixes, schemes](CampaignPlan &plan, CampaignContext &) {
-        planMixSweep(plan, mixes, schemes);
+    spec.plan = [mixes, schemes](CampaignPlan &plan,
+                                 CampaignContext &ctx) {
+        planMixSweep(plan, {ctx.config(), mixes, schemes});
     };
     spec.render = [mixes, schemes](CampaignRun &run, std::ostream &os) {
-        printSweepMetric(run, "", mixes, schemes, "ws",
+        printSweepMetric(run, {run.config(), mixes, schemes}, "ws",
                          "weighted speedup", os);
     };
     return spec;

@@ -528,8 +528,8 @@ tinyRefreshSpec()
             cfg.base.controller.refresh.mode = m.mode;
             cfg.base.controller.refresh.aware = m.aware;
             cfg.base.protocolCheck = true;
-            planMixSweep(plan, cfg, std::string(m.name) + "/", mixes,
-                         schemes);
+            planMixSweep(plan, {cfg, mixes, schemes, m.name,
+                                std::string(m.name) + "/"});
         }
     };
     spec.render = [](CampaignRun &, std::ostream &) {};

@@ -36,8 +36,9 @@ runTinyCampaign(const RunConfig &rc, const std::vector<Scheme> &schemes)
     CampaignSpec spec;
     spec.name = "salp-tiny";
     spec.title = "subarray regression fixture";
-    spec.plan = [mixes, schemes](CampaignPlan &plan, CampaignContext &) {
-        planMixSweep(plan, mixes, schemes);
+    spec.plan = [mixes, schemes](CampaignPlan &plan,
+                                 CampaignContext &ctx) {
+        planMixSweep(plan, {ctx.config(), mixes, schemes});
     };
     spec.render = [](CampaignRun &, std::ostream &) {};
 
