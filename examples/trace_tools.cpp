@@ -34,6 +34,10 @@ cmdGenerate(const Config &config)
     std::string out = config.getString("out", app + ".trace");
     auto count =
         static_cast<std::size_t>(config.getUInt("count", 100'000));
+    // stat and replay reject a trace with no records.
+    if (count == 0)
+        fatal("gen needs count >= 1: a trace with no records cannot be "
+              "read back");
 
     auto source = makeSpecSource(app, config.getUInt("seed", 1));
     writeTraceFile(out, captureRecords(*source, count));

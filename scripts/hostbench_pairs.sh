@@ -27,8 +27,9 @@
 # alternating which side goes first: two runs at once on a shared host
 # move per-layer host times by 10-30 %, and so would runs taken
 # minutes apart without the alternation. Every per-layer metric is
-# printed with each side's median over the rotations and the
-# change/parent ratio of the medians.
+# printed with each side's median and [min, max] over the rotations
+# and the change/parent ratio of the medians, so that a ratio can be
+# read against each side's run-to-run spread.
 #
 # Exits non-zero when a run fails or reports "correct": false or
 # failed > 0, when the two runs of a pair print different digests or
@@ -323,18 +324,21 @@ for workload in workloads:
                           % (label, name, ", ".join(sorted(seen))))
     print("  traced, seed %s, %d rotations, one run at a time:"
           % (traced_seed, rotations))
-    print("  %-26s %-11s %16s %16s %8s"
-          % ("per-layer metric", "unit", "parent median",
-             "change median", "ratio"))
+    print("  %-26s %-11s %-34s %-34s %8s"
+          % ("per-layer metric", "unit", "parent median [min, max]",
+             "change median [min, max]", "ratio"))
     for name in names:
-        med = {}
+        med, cells = {}, {}
         for side in traced:
             xs = [vals[name] for _, _, vals in traced[side] if name in vals]
             med[side] = statistics.median(xs) if xs else None
+            cells[side] = ("%s [%s, %s]" % (show(med[side]), show(min(xs)),
+                                             show(max(xs)))
+                           if xs else "-")
         p, c = med["parent"], med["change"]
         ratio = "%.4f" % (c / p) if p and c is not None else "-"
-        print("  %-26s %-11s %16s %16s %8s%s"
-              % (name, units[name], show(p), show(c), ratio,
+        print("  %-26s %-11s %-34s %-34s %8s%s"
+              % (name, units[name], cells["parent"], cells["change"], ratio,
                  "  DIFFERS" if name in differs else ""))
     print()
 

@@ -159,16 +159,6 @@ Config::parseArgs(int argc, char **argv, int first)
     }
 }
 
-std::vector<std::string>
-Config::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(values_.size());
-    for (const auto &kv : values_)
-        out.push_back(kv.first);
-    return out;
-}
-
 void
 Config::requireKnownKeys(const std::vector<std::string> &known) const
 {

@@ -61,9 +61,6 @@ class Config
      */
     void parseArgs(int argc, char **argv, int first = 1);
 
-    /** All keys in insertion-independent (sorted) order. */
-    std::vector<std::string> keys() const;
-
     /**
      * fatal() on the first key that is not in @p known, naming the
      * nearest known key: a misspelled key is a user error, never
